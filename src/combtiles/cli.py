@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from . import oracle
 from .core import CombSpec, Triangle, TriangleKind
@@ -24,7 +25,7 @@ from .digraph import (
     export_dot,
 )
 from .identities import PROFILES, reports_to_json, run_suite
-from .polynomials import antidiagonal_sum_closed, entry_via_poly
+from .polynomials import board_counts, board_products
 from .recursion import (
     Metric,
     evaluate,
@@ -56,15 +57,29 @@ def _metric_for_kind(kind: TriangleKind) -> Metric:
     return Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
 
 
+def _poly_tile_cells(spec: CombSpec, rows: int) -> Iterator[tuple[int, int, int]]:
+    """(n, k, entry) of the tile triangle's rows n < rows, one product per board.
+
+    Cell (b - (t-1)k, k) is [x^k] P_b; deg P_b <= b/t keeps every cell in k <= n.
+    """
+    shift = spec.t - 1
+    for b, prod in enumerate(board_products(spec, spec.t * (rows - 1))):
+        for k, c in enumerate(prod.coeffs):
+            n = b - shift * k
+            if n < rows:
+                yield n, k, c
+
+
 def _poly_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
-    table = []
-    for n in range(rows):
-        row = []
-        for k in range(n + 1):
-            board = n + (spec.t - 1) * k if kind is TriangleKind.TILE else n
-            j, r = divmod(board, spec.m)
-            row.append(entry_via_poly(spec, j, r, k))
-        table.append(row)
+    if kind is TriangleKind.BOARD:
+        table = [
+            [prod.coefficient(k) for k in range(n + 1)]
+            for n, prod in enumerate(board_products(spec, rows - 1))
+        ]
+    else:
+        table = [[0] * (n + 1) for n in range(rows)]
+        for n, k, c in _poly_tile_cells(spec, rows):
+            table[n][k] = c
     return Triangle.from_rows(spec, kind, table)
 
 
@@ -99,18 +114,11 @@ def _sums_by_method(
         kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
         return list(oracle.build_triangle(spec, kind, n_terms).row_sums())
     if method == "poly":
-        out = []
-        for n in range(n_terms):
-            j, r = divmod(n, spec.m)
-            if metric is Metric.CELLS:
-                out.append(antidiagonal_sum_closed(spec, j, r))
-            else:
-                total = 0
-                for k in range(n + 1):
-                    board = n + (spec.t - 1) * k
-                    bj, br = divmod(board, spec.m)
-                    total += entry_via_poly(spec, bj, br, k)
-                out.append(total)
+        if metric is Metric.CELLS:
+            return board_counts(spec, n_terms)
+        out = [0] * n_terms
+        for n, _, c in _poly_tile_cells(spec, n_terms):
+            out[n] += c
         return out
     if method == "recursion":
         rel = project_row_sum(synthesize(analyze_structure(build_digraph(spec)), metric))

@@ -12,9 +12,10 @@ entries and antidiagonal sums.
 from __future__ import annotations
 
 import functools
-import json
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .core import CombSpec
 
@@ -95,36 +96,81 @@ class IntPolynomial:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.coeffs))
+
+def _bonacci_polys(t: int) -> Iterator[IntPolynomial]:
+    """f_0, f_1, f_2, ... for tooth count t, one recurrence step each."""
+    # the last t members, f_{n-t} first; those before f_0 are zero
+    window: deque[tuple[int, ...]] = deque([()] * (t - 1) + [(1,)], maxlen=t)
+    yield IntPolynomial((1,))
+    while True:
+        prev, older = window[-1], window[0]
+        out = list(prev) + [0] * (len(older) + 1 - len(prev))
+        for i, c in enumerate(older, 1):
+            out[i] += c
+        window.append(tuple(out))
+        yield IntPolynomial(window[-1])
 
 
-_X = IntPolynomial((0, 1))
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def bonacci_poly(t: int, n: int) -> IntPolynomial:
     """The n-th member of the square/t-omino family for tooth count t."""
     if t < 2:
         raise ValueError("t must be at least 2")
     if n < 0:
         return IntPolynomial(())
-    if n == 0:
-        return IntPolynomial((1,))
-    return bonacci_poly(t, n - 1) + _X * bonacci_poly(t, n - t)
+    return next(islice(_bonacci_polys(t), n, None))
+
+
+def bonacci_numbers(t: int, n: int) -> list[int]:
+    """Values f_0(1), ..., f_n(1) of the family, by its integer recurrence."""
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    vals = [1] * (n + 1)
+    for i in range(t, n + 1):
+        vals[i] = vals[i - 1] + vals[i - t]
+    return vals
 
 
 def bonacci_number(t: int, n: int) -> int:
     """Value of the family at x = 1, computed by its own integer recurrence."""
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if n < 0:
-        return 0
-    vals = [0] * (n + 1)
-    vals[0] = 1
-    for i in range(1, n + 1):
-        vals[i] = vals[i - 1] + (vals[i - t] if i >= t else 0)
-    return vals[n]
+    vals = bonacci_numbers(t, n)
+    return vals[-1] if vals else 0
+
+
+def board_products(spec: CombSpec, max_board: int) -> Iterator[IntPolynomial]:
+    """Yield P_b = f_j^(m-r) * f_{j+1}^r for boards b = m*j + r = 0..max_board.
+
+    [x^k] P_b counts tilings of a b-board with k combs. Only the powers
+    f_j^e and f_{j+1}^e (e <= m) are kept, so each P_b costs one product,
+    plus the m - 1 that build the powers of each new f_{j+1}.
+    """
+    m = spec.m
+    family = _bonacci_polys(spec.t)
+
+    def powers(f: IntPolynomial) -> list[IntPolynomial]:
+        out = [IntPolynomial((1,)), f]
+        for _ in range(m - 1):
+            out.append(out[-1] * f)
+        return out
+
+    high = powers(next(family))
+    for b in range(max_board + 1):
+        r = b % m
+        if r == 0:
+            low, high = high, powers(next(family))
+            yield low[m]
+        else:
+            yield low[m - r] * high[r]
+
+
+def board_counts(spec: CombSpec, n: int) -> list[int]:
+    """Tiling counts of the boards of length 0..n-1, P_b(1) for each b."""
+    m = spec.m
+    vals = bonacci_numbers(spec.t, (n - 1) // m + 1)
+    return [
+        vals[j] ** (m - r) * vals[j + 1] ** r
+        for j, r in (divmod(b, m) for b in range(n))
+    ]
 
 
 def _check_j_r(spec: CombSpec, j: int, r: int) -> None:
@@ -149,9 +195,8 @@ def entry_via_poly(spec: CombSpec, j: int, r: int, k: int) -> int:
 def antidiagonal_sum_closed(spec: CombSpec, j: int, r: int) -> int:
     """Count of all tilings of an (m*j + r)-board, in product closed form."""
     _check_j_r(spec, j, r)
-    return bonacci_number(spec.t, j) ** (spec.m - r) * bonacci_number(
-        spec.t, j + 1
-    ) ** r
+    vals = bonacci_numbers(spec.t, j + 1)
+    return vals[j] ** (spec.m - r) * vals[j + 1] ** r
 
 
 def power_series_div(

@@ -3,8 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from combtiles.cli import main
+from combtiles import oracle
+from combtiles.cli import _sums_by_method, _triangle_by_method, main
+from combtiles.core import CombSpec, TriangleKind
+from combtiles.polynomials import entry_via_poly
+from combtiles.recursion import Metric
 
 from golden import CELL_SUMS, DOT_2_3, TILE_SUMS, TRIANGLES
 
@@ -44,6 +50,39 @@ def test_triangle_methods_agree(run):
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1, (m, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from(TriangleKind),
+    st.integers(min_value=1, max_value=9),
+)
+def test_streamed_poly_triangle_matches_closed_form_and_oracle(m, t, kind, rows):
+    spec = CombSpec(m, t)
+    tri = _triangle_by_method(spec, kind, rows, "poly")
+    for n in range(rows):
+        for k in range(n + 1):
+            board = n + (t - 1) * k if kind is TriangleKind.TILE else n
+            j, r = divmod(board, m)
+            assert tri.entry(n, k) == entry_via_poly(spec, j, r, k), (n, k)
+    # rows <= 9 stays inside the oracle's tile and board caps
+    assert tri == oracle.build_triangle(spec, kind, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from(Metric),
+    st.integers(min_value=1, max_value=12),
+)
+def test_poly_sums_match_walk_and_oracle(m, t, metric, n_terms):
+    spec = CombSpec(m, t)
+    poly = _sums_by_method(spec, metric, n_terms, "poly")
+    assert poly == _sums_by_method(spec, metric, n_terms, "walk")
+    assert poly == _sums_by_method(spec, metric, n_terms, "oracle")
 
 
 def test_triangle_auto_falls_back_to_walk(run):

@@ -9,6 +9,7 @@ from combtiles.oracle import enumerate_tilings
 from combtiles.polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
+    board_counts,
     bonacci_number,
     bonacci_poly,
     entry_via_poly,
@@ -88,6 +89,12 @@ def test_bonacci_numbers_known_prefixes():
     assert pad == [1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41]  # A000930
 
 
+def test_bonacci_poly_cold_cache_is_iterative_and_bounded():
+    bonacci_poly.cache_clear()
+    assert bonacci_poly(3, 3000).evaluate(1) == bonacci_number(3, 3000)
+    assert bonacci_poly.cache_info().maxsize is not None
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=-4, max_value=24))
 def test_bonacci_poly_at_one_is_the_number(t, n):
@@ -133,6 +140,7 @@ def test_antidiagonal_sum_closed_matches_board_counts():
         for board, expected in enumerate(sums):
             j, r = divmod(board, m)
             assert antidiagonal_sum_closed(spec, j, r) == expected, (m, t, board)
+        assert board_counts(spec, len(sums)) == list(sums), (m, t)
 
 
 def test_power_series_div_generates_tile_sums():
