@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator
 
-from . import oracle
-from .core import CombSpec, Triangle, TriangleKind
+from . import engines, oracle
+from .core import CombSpec, TriangleKind
 from .digraph import (
     UnsupportedStructureError,
     analyze_structure,
@@ -25,14 +24,7 @@ from .digraph import (
     export_dot,
 )
 from .identities import PROFILES, reports_to_json, run_suite
-from .polynomials import board_counts, board_products
-from .recursion import (
-    Metric,
-    evaluate,
-    project_row_sum,
-    synthesize,
-    walk_count,
-)
+from .recursion import Metric, project_row_sum, synthesize
 
 
 def _positive(text: str) -> int:
@@ -53,88 +45,6 @@ def _spec(args: argparse.Namespace) -> CombSpec:
     return CombSpec(args.m, args.t)
 
 
-def _metric_for_kind(kind: TriangleKind) -> Metric:
-    return Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
-
-
-def _poly_tile_cells(spec: CombSpec, rows: int) -> Iterator[tuple[int, int, int]]:
-    """(n, k, entry) of the tile triangle's rows n < rows, one product per board.
-
-    Cell (b - (t-1)k, k) is [x^k] P_b; deg P_b <= b/t keeps every cell in k <= n.
-    """
-    shift = spec.t - 1
-    for b, prod in enumerate(board_products(spec, spec.t * (rows - 1))):
-        for k, c in enumerate(prod.coeffs):
-            n = b - shift * k
-            if n < rows:
-                yield n, k, c
-
-
-def _poly_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
-    if kind is TriangleKind.BOARD:
-        table = [
-            [prod.coefficient(k) for k in range(n + 1)]
-            for n, prod in enumerate(board_products(spec, rows - 1))
-        ]
-    else:
-        table = [[0] * (n + 1) for n in range(rows)]
-        for n, k, c in _poly_tile_cells(spec, rows):
-            table[n][k] = c
-    return Triangle.from_rows(spec, kind, table)
-
-
-def _triangle_by_method(
-    spec: CombSpec, kind: TriangleKind, rows: int, method: str
-) -> Triangle:
-    if method == "oracle":
-        return oracle.build_triangle(spec, kind, rows)
-    if method == "poly":
-        return _poly_triangle(spec, kind, rows)
-    metric = _metric_for_kind(kind)
-    if method == "recursion":
-        rel = synthesize(analyze_structure(build_digraph(spec)), metric)
-        tri = evaluate(rel, rows - 1)
-        assert isinstance(tri, Triangle)
-        return tri
-    if method == "walk":
-        tri = walk_count(build_digraph(spec), metric, rows - 1)
-        assert isinstance(tri, Triangle)
-        return tri
-    # auto: synthesized recursion when the structure supports it, else walk DP
-    try:
-        return _triangle_by_method(spec, kind, rows, "recursion")
-    except UnsupportedStructureError:
-        return _triangle_by_method(spec, kind, rows, "walk")
-
-
-def _sums_by_method(
-    spec: CombSpec, metric: Metric, n_terms: int, method: str
-) -> list[int]:
-    if method == "oracle":
-        kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
-        return list(oracle.build_triangle(spec, kind, n_terms).row_sums())
-    if method == "poly":
-        if metric is Metric.CELLS:
-            return board_counts(spec, n_terms)
-        out = [0] * n_terms
-        for n, _, c in _poly_tile_cells(spec, n_terms):
-            out[n] += c
-        return out
-    if method == "recursion":
-        rel = project_row_sum(synthesize(analyze_structure(build_digraph(spec)), metric))
-        seq = evaluate(rel, n_terms - 1)
-        assert isinstance(seq, tuple)
-        return list(seq)
-    if method == "walk":
-        seq = walk_count(build_digraph(spec), metric, n_terms - 1, tracks_k=False)
-        assert isinstance(seq, tuple)
-        return list(seq)
-    try:
-        return _sums_by_method(spec, metric, n_terms, "recursion")
-    except UnsupportedStructureError:
-        return _sums_by_method(spec, metric, n_terms, "walk")
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
@@ -142,7 +52,7 @@ def _emit(text: str) -> None:
 def _cmd_triangle(args: argparse.Namespace) -> int:
     spec = _spec(args)
     kind = TriangleKind(args.kind)
-    tri = _triangle_by_method(spec, kind, args.rows, args.method)
+    tri = engines.triangle(spec, kind, args.rows, args.method)
     if args.format == "csv":
         _emit(tri.to_csv())
     elif args.format == "json":
@@ -155,7 +65,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 def _cmd_sums(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    seq = _sums_by_method(spec, Metric(args.metric), args.n, args.method)
+    seq = engines.sums(spec, Metric(args.metric), args.n, args.method)
     if args.format == "bfile":
         _emit("".join(f"{i} {v}\n" for i, v in enumerate(seq)))
     elif args.format == "csv":
@@ -264,11 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=_positive, default=10)
     p.add_argument("--kind", choices=["tile", "board"], default="tile")
     p.add_argument("--format", choices=["csv", "json", "text"], default="csv")
-    p.add_argument(
-        "--method",
-        choices=["auto", "oracle", "poly", "recursion", "walk"],
-        default="auto",
-    )
+    p.add_argument("--method", choices=engines.METHODS, default="auto")
     p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("sums", help="print row sums (tiles) or board counts (cells)")
@@ -276,11 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive, default=16, help="number of terms")
     p.add_argument("--metric", choices=["tiles", "cells"], default="tiles")
     p.add_argument("--format", choices=["bfile", "csv", "json", "text"], default="text")
-    p.add_argument(
-        "--method",
-        choices=["auto", "oracle", "poly", "recursion", "walk"],
-        default="auto",
-    )
+    p.add_argument("--method", choices=engines.METHODS, default="auto")
     p.set_defaults(func=_cmd_sums)
 
     p = sub.add_parser("subsets", help="list or count restricted subsets")

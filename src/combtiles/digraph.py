@@ -237,28 +237,30 @@ def _simple_cycles(dg: MetatileDigraph, budget: _Budget) -> list[Cycle]:
     cycles: list[Cycle] = []
     index = dg.node_index
     for si, start in enumerate(dg.nodes):
+        # stack[0] iterates the arcs out of start, stack[i] those out of path[i-1].dst
         path: list[Arc] = []
         on_path: set[str] = set()
-
-        def dfs(u: str) -> None:
-            for arc in dg.arcs_from[u]:
-                if not budget.spend():
-                    raise UnsupportedStructureError(
-                        "cycle enumeration exceeded the step budget"
-                    )
-                v = arc.dst
-                if v == start:
-                    cycles.append(Cycle(tuple(path) + (arc,)))
-                    continue
-                if index[v] < si or v in on_path:
-                    continue
-                on_path.add(v)
-                path.append(arc)
-                dfs(v)
-                path.pop()
-                on_path.remove(v)
-
-        dfs(start)
+        stack = [iter(dg.arcs_from[start])]
+        while stack:
+            arc = next(stack[-1], None)
+            if arc is None:
+                stack.pop()
+                if path:
+                    on_path.remove(path.pop().dst)
+                continue
+            if not budget.spend():
+                raise UnsupportedStructureError(
+                    "cycle enumeration exceeded the step budget"
+                )
+            v = arc.dst
+            if v == start:
+                cycles.append(Cycle(tuple(path) + (arc,)))
+                continue
+            if index[v] < si or v in on_path:
+                continue
+            on_path.add(v)
+            path.append(arc)
+            stack.append(iter(dg.arcs_from[v]))
     return sorted(cycles, key=lambda c: _cycle_sort_key(dg, c))
 
 
@@ -267,26 +269,25 @@ def _simple_paths(dg: MetatileDigraph, src: str, dst: str, budget: _Budget) -> l
     paths: list[Cycle] = []
     path: list[Arc] = []
     visited = {src}
-
-    def dfs(u: str) -> None:
-        for arc in dg.arcs_from[u]:
-            if not budget.spend():
-                raise UnsupportedStructureError(
-                    "path enumeration exceeded the step budget"
-                )
-            v = arc.dst
-            if v == dst:
-                paths.append(Cycle(tuple(path) + (arc,)))
-                continue
-            if v in visited:
-                continue
-            visited.add(v)
-            path.append(arc)
-            dfs(v)
-            path.pop()
-            visited.remove(v)
-
-    dfs(src)
+    stack = [iter(dg.arcs_from[src])]
+    while stack:
+        arc = next(stack[-1], None)
+        if arc is None:
+            stack.pop()
+            if path:
+                visited.remove(path.pop().dst)
+            continue
+        if not budget.spend():
+            raise UnsupportedStructureError("path enumeration exceeded the step budget")
+        v = arc.dst
+        if v == dst:
+            paths.append(Cycle(tuple(path) + (arc,)))
+            continue
+        if v in visited:
+            continue
+        visited.add(v)
+        path.append(arc)
+        stack.append(iter(dg.arcs_from[v]))
     return paths
 
 
@@ -370,21 +371,24 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
     budget = _Budget(_STEP_BUDGET)
     out: list[str] = []
     labels: list[str] = []
-
-    def dfs(u: str) -> None:
-        for arc in dg.arcs_from[u]:
-            if not budget.spend():
-                raise ValueError(
-                    "metatile enumeration exceeded the step budget; lower max_tiles"
-                )
+    # stack[i] iterates the arcs out of the node reached by labels[:i]
+    stack = [iter(dg.arcs_from["0"])]
+    while stack:
+        arc = next(stack[-1], None)
+        if arc is None:
+            stack.pop()
+            if labels:
+                labels.pop()
+            continue
+        if not budget.spend():
+            raise ValueError(
+                "metatile enumeration exceeded the step budget; lower max_tiles"
+            )
+        if arc.dst == "0":
+            out.append("".join(labels) + arc.label)
+        elif len(labels) + 1 < max_tiles:
             labels.append(arc.label)
-            if arc.dst == "0":
-                out.append("".join(labels))
-            elif len(labels) < max_tiles:
-                dfs(arc.dst)
-            labels.pop()
-
-    dfs("0")
+            stack.append(iter(dg.arcs_from[arc.dst]))
     return sorted(out, key=lambda s: (len(s), s))
 
 

@@ -1,0 +1,100 @@
+"""Engine dispatch: one function per table shape, whichever engine computes it.
+
+``auto`` uses the recursion synthesized from the digraph's cycle structure
+when the structure classifies and falls back to walk counting otherwise.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from . import oracle
+from .core import CombSpec, Triangle, TriangleKind
+from .digraph import UnsupportedStructureError, analyze_structure, build_digraph
+from .polynomials import board_counts, board_products
+from .recursion import (
+    Metric,
+    evaluate,
+    project_row_sum,
+    synthesize,
+    walk_count,
+    walk_sums,
+)
+
+METHODS = ("auto", "oracle", "poly", "recursion", "walk")
+
+
+def _metric_for_kind(kind: TriangleKind) -> Metric:
+    return Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
+
+
+def _poly_tile_cells(spec: CombSpec, rows: int) -> Iterator[tuple[int, int, int]]:
+    """(n, k, entry) of the tile triangle's rows n < rows, one product per board.
+
+    Cell (b - (t-1)k, k) is [x^k] P_b; deg P_b <= b/t keeps every cell in k <= n.
+    """
+    shift = spec.t - 1
+    for b, prod in enumerate(board_products(spec, spec.t * (rows - 1))):
+        for k, c in enumerate(prod.coeffs):
+            n = b - shift * k
+            if n < rows:
+                yield n, k, c
+
+
+def _poly_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
+    if kind is TriangleKind.BOARD:
+        table = [
+            [prod.coefficient(k) for k in range(n + 1)]
+            for n, prod in enumerate(board_products(spec, rows - 1))
+        ]
+    else:
+        table = [[0] * (n + 1) for n in range(rows)]
+        for n, k, c in _poly_tile_cells(spec, rows):
+            table[n][k] = c
+    return Triangle.from_rows(spec, kind, table)
+
+
+def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Triangle:
+    """Rows 0..rows-1 of the tile- or board-indexed triangle."""
+    if method == "oracle":
+        return oracle.build_triangle(spec, kind, rows)
+    if method == "poly":
+        return _poly_triangle(spec, kind, rows)
+    metric = _metric_for_kind(kind)
+    if method == "recursion":
+        rel = synthesize(analyze_structure(build_digraph(spec)), metric)
+        tri = evaluate(rel, rows - 1)
+        assert isinstance(tri, Triangle)
+        return tri
+    if method == "walk":
+        return walk_count(build_digraph(spec), metric, rows - 1)
+    # auto: synthesized recursion when the structure supports it, else walk DP
+    try:
+        return triangle(spec, kind, rows, "recursion")
+    except UnsupportedStructureError:
+        return triangle(spec, kind, rows, "walk")
+
+
+def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]:
+    """Terms 0..n_terms-1: row sums by tile count, or board counts by cells."""
+    if method == "oracle":
+        kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
+        return list(oracle.build_triangle(spec, kind, n_terms).row_sums())
+    if method == "poly":
+        if metric is Metric.CELLS:
+            return board_counts(spec, n_terms)
+        out = [0] * n_terms
+        for n, _, c in _poly_tile_cells(spec, n_terms):
+            out[n] += c
+        return out
+    if method == "recursion":
+        rel = project_row_sum(synthesize(analyze_structure(build_digraph(spec)), metric))
+        seq = evaluate(rel, n_terms - 1)
+        assert isinstance(seq, tuple)
+        return list(seq)
+    if method == "walk":
+        return list(walk_sums(build_digraph(spec), metric, n_terms - 1))
+    try:
+        return sums(spec, metric, n_terms, "recursion")
+    except UnsupportedStructureError:
+        return sums(spec, metric, n_terms, "walk")

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import CombSpec, Triangle, board_to_tile_index, max_combs
 from .digraph import CycleStructure, analyze_structure, build_digraph
@@ -29,7 +30,6 @@ from .recursion import (
     Metric,
     RecursionRelation,
     evaluate,
-    multinomial_check,
     project_row_sum,
     synthesize,
     walk_count,
@@ -97,21 +97,19 @@ def _binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@functools.lru_cache(maxsize=None)
+# cache sizes hold every key the full profile asks for, so a suite run
+# recomputes nothing and a long-lived process keeps a bounded cache
+@functools.lru_cache(maxsize=64)
 def _tile_triangle(spec: CombSpec, n_max: int) -> Triangle:
-    tri = walk_count(build_digraph(spec), Metric.TILES, n_max, tracks_k=True)
-    assert isinstance(tri, Triangle)
-    return tri
+    return walk_count(build_digraph(spec), Metric.TILES, n_max)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _board_triangle(spec: CombSpec, n_max: int) -> Triangle:
-    tri = walk_count(build_digraph(spec), Metric.CELLS, n_max, tracks_k=True)
-    assert isinstance(tri, Triangle)
-    return tri
+    return walk_count(build_digraph(spec), Metric.CELLS, n_max)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _structure(spec: CombSpec) -> CycleStructure:
     return analyze_structure(build_digraph(spec))
 
@@ -536,7 +534,7 @@ def _check_subset_recurrence(p: GridProfile) -> CheckReport:
 def _check_rr_exact(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for (m, t), expected in sorted(_KNOWN_ENTRY_RELATIONS.items()):
-        rel = synthesize(_structure(CombSpec(m, t)), Metric.TILES, tracks_k=True)
+        rel = synthesize(_structure(CombSpec(m, t)), Metric.TILES)
         rec.record(f"m={m} t={t} tiles by k", expected, _relation_terms(rel))
     return CheckReport(
         "rr_exact", "specs (2,3),(2,4),(4,2),(2,5)", rec.cases, tuple(rec.failures)
@@ -546,12 +544,10 @@ def _check_rr_exact(p: GridProfile) -> CheckReport:
 def _check_sums_exact(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for (m, t), expected in sorted(_KNOWN_TILE_SUM_RELATIONS.items()):
-        rel = project_row_sum(
-            synthesize(_structure(CombSpec(m, t)), Metric.TILES, tracks_k=True)
-        )
+        rel = project_row_sum(synthesize(_structure(CombSpec(m, t)), Metric.TILES))
         rec.record(f"m={m} t={t} tile sums", expected, _relation_terms(rel))
     for (m, t), expected in sorted(_KNOWN_CELL_SUM_RELATIONS.items()):
-        rel = synthesize(_structure(CombSpec(m, t)), Metric.CELLS, tracks_k=False)
+        rel = project_row_sum(synthesize(_structure(CombSpec(m, t)), Metric.CELLS))
         rec.record(f"m={m} t={t} cell sums", expected, _relation_terms(rel))
     return CheckReport(
         "sums_exact", "specs (2,3),(2,4),(4,2),(2,5)", rec.cases, tuple(rec.failures)
@@ -566,9 +562,7 @@ def _check_gf_42(p: GridProfile) -> CheckReport:
         * IntPolynomial((1, 0, 2, 1, 1))
     )
     series = power_series_div((1, -1, 0, -1), denominator.coeffs, 12)
-    rel = project_row_sum(
-        synthesize(_structure(CombSpec(4, 2)), Metric.TILES, tracks_k=True)
-    )
+    rel = project_row_sum(synthesize(_structure(CombSpec(4, 2)), Metric.TILES))
     sums = evaluate(rel, 11)
     assert isinstance(sums, tuple)
     for n in range(12):
@@ -576,6 +570,42 @@ def _check_gf_42(p: GridProfile) -> CheckReport:
     return CheckReport(
         "gf_42", "12 series terms", rec.cases, tuple(rec.failures)
     )
+
+
+def _multinomial(parts: Sequence[int]) -> int:
+    remaining = sum(parts)
+    out = 1
+    for p in parts:
+        out *= math.comb(remaining, p)
+        remaining -= p
+    return out
+
+
+def multinomial_check(j_values: Sequence[int]) -> bool:
+    """Exact two-sided evaluation of the block-counting multinomial identity.
+
+    j_values is (j_0, j_1, ..., j_N) with N >= 2 and every entry positive.
+    """
+    js = [int(v) for v in j_values]
+    if len(js) < 3:
+        raise ValueError("need j_0 through j_N with N >= 2")
+    if any(v <= 0 for v in js):
+        raise ValueError("all j values must be positive")
+    j0 = js[0]
+    rest = js[1:]
+    j_last = rest[-1]
+    lhs = _multinomial(rest) * math.comb(j0 + j_last - 1, j0)
+    factor = math.comb(j0 + j_last - 1, j0) - math.comb(j0 + j_last - 2, j0 - 1)
+    rhs = 0
+    for r in range(len(rest) - 1):
+        reduced = rest.copy()
+        reduced[r] -= 1
+        rhs += _multinomial(reduced) * factor
+    rhs += _multinomial(rest) * math.comb(j0 + j_last - 2, j0 - 1)
+    last = rest.copy()
+    last[-1] -= 1
+    rhs += _multinomial(last) * math.comb(j0 + j_last - 2, j0)
+    return lhs == rhs
 
 
 def _check_multinom(p: GridProfile) -> CheckReport:

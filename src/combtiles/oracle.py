@@ -69,11 +69,6 @@ class Tiling:
     def n_combs(self) -> int:
         return sum(1 for kind, _ in self.placements if kind == COMB)
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps([[kind, anchor] for kind, anchor in self.placements])
-
 
 def enumerate_tilings(
     spec: CombSpec, board_len: int, *, max_board: int = DEFAULT_MAX_BOARD
@@ -167,7 +162,8 @@ def enumerate_tile_tilings(
     return out
 
 
-@functools.lru_cache(maxsize=None)
+# holds every (spec, board) the full identity profile enumerates (248 keys)
+@functools.lru_cache(maxsize=512)
 def _board_comb_counts(spec: CombSpec, board_len: int) -> tuple[int, ...]:
     # counts by comb count k = 0..board_len; caller is responsible for limits
     counts = [0] * (board_len + 1)
@@ -250,11 +246,6 @@ class RestrictedSubset:
     @property
     def k(self) -> int:
         return len(self.members)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(list(self.members))
 
 
 def enumerate_restricted_subsets(

@@ -11,11 +11,9 @@ numbers with no structure hypothesis at all, which is the cross-check.
 from __future__ import annotations
 
 import json
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .core import CombSpec, Triangle, TriangleKind
 from .digraph import Cycle, CycleStructure, MetatileDigraph, UnsupportedStructureError
@@ -90,21 +88,18 @@ class RecursionRelation:
 
 
 def _collect(
-    terms: list[tuple[int, int | None, int]], tracks_k: bool
+    terms: list[tuple[int, int | None, int]]
 ) -> tuple[tuple[int, int | None, int], ...]:
     acc: dict[tuple[int, int | None], int] = {}
     for n, k, coeff in terms:
-        key = (n, k if tracks_k else None)
-        acc[key] = acc.get(key, 0) + coeff
+        acc[(n, k)] = acc.get((n, k), 0) + coeff
     kept = [(n, k, c) for (n, k), c in acc.items() if c != 0]
     kept.sort(key=lambda term: (term[0], term[1] if term[1] is not None else 0))
     return tuple(kept)
 
 
-def synthesize(
-    structure: CycleStructure, metric: Metric, tracks_k: bool = True
-) -> RecursionRelation:
-    """Turn a classified cycle structure into its recursion term lists.
+def synthesize(structure: CycleStructure, metric: Metric) -> RecursionRelation:
+    """Turn a classified cycle structure into its recursion term lists over (n, k).
 
     Common-node shape (inner cycles may be absent entirely): one unit delta,
     one shift minus one delta per inner cycle, per outer cycle its shift
@@ -166,9 +161,7 @@ def synthesize(
             if circ.plain:
                 shifts.append((w(circ) + lens[0], circ.n_combs + combs[0], -1))
 
-    return RecursionRelation(
-        spec, metric, tracks_k, _collect(deltas, tracks_k), _collect(shifts, tracks_k)
-    )
+    return RecursionRelation(spec, metric, True, _collect(deltas), _collect(shifts))
 
 
 def project_row_sum(rel: RecursionRelation) -> RecursionRelation:
@@ -178,7 +171,7 @@ def project_row_sum(rel: RecursionRelation) -> RecursionRelation:
     deltas = [(n0, None, c) for n0, _, c in rel.delta_terms]
     shifts = [(dn, None, c) for dn, _, c in rel.shift_terms]
     return RecursionRelation(
-        rel.spec, rel.metric, False, _collect(deltas, False), _collect(shifts, False)
+        rel.spec, rel.metric, False, _collect(deltas), _collect(shifts)
     )
 
 
@@ -216,9 +209,7 @@ def evaluate(rel: RecursionRelation, n_max: int) -> Triangle | tuple[int, ...]:
     return tuple(seq)
 
 
-def walk_count(
-    dg: MetatileDigraph, metric: Metric, n_max: int, tracks_k: bool = True
-) -> Triangle | tuple[int, ...]:
+def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
     """Count weighted walks 0 to 0 directly on the digraph, no synthesis.
 
     Arc weight is 1 tile or the arc's cell count; walks may pass through 0
@@ -232,9 +223,7 @@ def walk_count(
     ]
     layers[0][("0", 0)] = 1
     for n in range(n_max + 1):
-        for (node, k), count in list(layers[n].items()):
-            if count == 0:
-                continue
+        for (node, k), count in layers[n].items():
             for arc in dg.arcs_from[node]:
                 weight = arc.cell_weight if metric is Metric.CELLS else 1
                 if n + weight <= n_max:
@@ -242,43 +231,24 @@ def walk_count(
     rows = [
         [layers[n].get(("0", k), 0) for k in range(n + 1)] for n in range(n_max + 1)
     ]
-    if tracks_k:
-        kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
-        return Triangle.from_rows(dg.spec, kind, rows)
-    return tuple(sum(row) for row in rows)
+    kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
+    return Triangle.from_rows(dg.spec, kind, rows)
 
 
-def _multinomial(parts: Sequence[int]) -> int:
-    remaining = sum(parts)
-    out = 1
-    for p in parts:
-        out *= math.comb(remaining, p)
-        remaining -= p
-    return out
+def walk_sums(dg: MetatileDigraph, metric: Metric, n_max: int) -> tuple[int, ...]:
+    """Row sums of :func:`walk_count`, from walks counted by node alone.
 
-
-def multinomial_check(j_values: Sequence[int]) -> bool:
-    """Exact two-sided evaluation of the block-counting multinomial identity.
-
-    j_values is (j_0, j_1, ..., j_N) with N >= 2 and every entry positive.
+    No arc depends on the comb count k, so summing over it up front saves
+    the factor of n that the (node, k) states of the triangle cost.
     """
-    js = [int(v) for v in j_values]
-    if len(js) < 3:
-        raise ValueError("need j_0 through j_N with N >= 2")
-    if any(v <= 0 for v in js):
-        raise ValueError("all j values must be positive")
-    j0 = js[0]
-    rest = js[1:]
-    j_last = rest[-1]
-    lhs = _multinomial(rest) * math.comb(j0 + j_last - 1, j0)
-    factor = math.comb(j0 + j_last - 1, j0) - math.comb(j0 + j_last - 2, j0 - 1)
-    rhs = 0
-    for r in range(len(rest) - 1):
-        reduced = rest.copy()
-        reduced[r] -= 1
-        rhs += _multinomial(reduced) * factor
-    rhs += _multinomial(rest) * math.comb(j0 + j_last - 2, j0 - 1)
-    last = rest.copy()
-    last[-1] -= 1
-    rhs += _multinomial(last) * math.comb(j0 + j_last - 2, j0)
-    return lhs == rhs
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    layers: list[dict[str, int]] = [defaultdict(int) for _ in range(n_max + 1)]
+    layers[0]["0"] = 1
+    for n in range(n_max + 1):
+        for node, count in layers[n].items():
+            for arc in dg.arcs_from[node]:
+                weight = arc.cell_weight if metric is Metric.CELLS else 1
+                if n + weight <= n_max:
+                    layers[n + weight][arc.dst] += count
+    return tuple(layer.get("0", 0) for layer in layers)

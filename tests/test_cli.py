@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combtiles import oracle
-from combtiles.cli import _sums_by_method, _triangle_by_method, main
+from combtiles import engines, oracle
+from combtiles.cli import main
 from combtiles.core import CombSpec, TriangleKind
 from combtiles.polynomials import entry_via_poly
 from combtiles.recursion import Metric
@@ -61,7 +61,7 @@ def test_triangle_methods_agree(run):
 )
 def test_streamed_poly_triangle_matches_closed_form_and_oracle(m, t, kind, rows):
     spec = CombSpec(m, t)
-    tri = _triangle_by_method(spec, kind, rows, "poly")
+    tri = engines.triangle(spec, kind, rows, "poly")
     for n in range(rows):
         for k in range(n + 1):
             board = n + (t - 1) * k if kind is TriangleKind.TILE else n
@@ -80,9 +80,9 @@ def test_streamed_poly_triangle_matches_closed_form_and_oracle(m, t, kind, rows)
 )
 def test_poly_sums_match_walk_and_oracle(m, t, metric, n_terms):
     spec = CombSpec(m, t)
-    poly = _sums_by_method(spec, metric, n_terms, "poly")
-    assert poly == _sums_by_method(spec, metric, n_terms, "walk")
-    assert poly == _sums_by_method(spec, metric, n_terms, "oracle")
+    poly = engines.sums(spec, metric, n_terms, "poly")
+    assert poly == engines.sums(spec, metric, n_terms, "walk")
+    assert poly == engines.sums(spec, metric, n_terms, "oracle")
 
 
 def test_triangle_auto_falls_back_to_walk(run):
@@ -92,6 +92,14 @@ def test_triangle_auto_falls_back_to_walk(run):
     )
     assert code_auto == code_walk == 0
     assert out_auto == out_walk == csv_of(TRIANGLES[(3, 3)][:12])
+    # (6,6) is refused by the step budget, on a cycle search that runs
+    # deeper than the interpreter's default recursion limit
+    code_auto, out_auto, err = run("triangle", "--m", "6", "--t", "6", "--rows", "5")
+    code_walk, out_walk, _ = run(
+        "triangle", "--m", "6", "--t", "6", "--rows", "5", "--method", "walk"
+    )
+    assert code_auto == code_walk == 0 and err == ""
+    assert out_auto == out_walk == "1\n1,0\n1,0,0\n1,0,0,0\n1,0,0,0,0\n"
 
 
 def test_triangle_board_kind(run):
@@ -184,6 +192,10 @@ def test_digraph_refusal_exit_code(run):
     assert code == 1 and "step budget" in err
     code, out, _ = run("digraph", "--m", "4", "--t", "4", "--format", "dot")
     assert code == 0 and out.startswith("digraph metatiles {")
+    # refused the same way where the search would outgrow the recursion limit
+    code, out, err = run("digraph", "--m", "6", "--t", "6", "--format", "text")
+    assert code == 1 and out == ""
+    assert err == "error: cycle enumeration exceeded the step budget\n"
 
 
 def test_metatiles_output(run):
@@ -194,6 +206,18 @@ def test_metatiles_output(run):
         "metatiles", "--m", "2", "--t", "3", "--max-tiles", "5", "--format", "json"
     )
     assert json.loads(out) == ["S", "CC", "CSS", "CSCS", "CSCCS"]
+
+
+def test_metatiles_deeper_than_the_recursion_limit(run):
+    code, out, err = run(
+        "metatiles", "--m", "2", "--t", "3", "--max-tiles", "3000", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    assert len(out.encode()) == 4_513_501
+    tiles = json.loads(out)
+    assert len(tiles) == 3000
+    assert tiles[:5] == ["S", "CC", "CSS", "CSCS", "CSCCS"]
+    assert len(tiles[-1]) == 3000
 
 
 def test_recursion_output(run):

@@ -3,12 +3,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import combtiles.identities as identities
 from combtiles.identities import (
     PROFILES,
     CheckReport,
     check_names,
+    multinomial_check,
     reports_to_json,
     run_check,
     run_suite,
@@ -109,3 +112,18 @@ def test_rr_exact_catches_a_wrong_coefficient(monkeypatch):
     monkeypatch.setattr(identities, "_KNOWN_TILE_SUM_RELATIONS", broken)
     report = run_check("sums_exact")
     assert not report.passed
+
+
+def test_multinomial_check_examples():
+    assert multinomial_check((1, 1, 1))
+    assert multinomial_check((2, 1, 3, 2))
+    with pytest.raises(ValueError):
+        multinomial_check((2, 1))
+    with pytest.raises(ValueError):
+        multinomial_check((2, 0, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=5))
+def test_multinomial_check_holds_generally(j_values):
+    assert multinomial_check(tuple(j_values))
