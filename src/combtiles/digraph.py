@@ -25,6 +25,8 @@ _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 # fixed step budget turns a blow-up into a deterministic refusal
 _STEP_BUDGET = 2_000_000
 
+_NO_ANCHOR = "no common node and no errant loop restores one"
+
 
 class UnsupportedStructureError(RuntimeError):
     """The cycle taxonomy fits neither the common-node nor errant-loop pattern."""
@@ -291,6 +293,80 @@ def _simple_paths(dg: MetatileDigraph, src: str, dst: str, budget: _Budget) -> l
     return paths
 
 
+def _find_cycle(succ: dict[str, list[str]], skip: str | None = None) -> list[str] | None:
+    """Nodes of one cycle of succ that avoids node skip, or None if there is none."""
+    state: dict[str, bool] = {}  # True while on the DFS path, False once finished
+    for root in succ:
+        if root == skip or root in state:
+            continue
+        # stack[i] iterates the successors of path[i]
+        path = [root]
+        state[root] = True
+        stack = [iter(succ[root])]
+        while stack:
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                state[path.pop()] = False
+            elif v == skip:
+                continue
+            elif v not in state:
+                state[v] = True
+                path.append(v)
+                stack.append(iter(succ[v]))
+            elif state[v]:
+                return path[path.index(v) :]
+    return None
+
+
+def _on_every_cycle(succ: dict[str, list[str]], cycle: list[str]) -> bool:
+    """Whether some node of cycle lies on every cycle of succ.
+
+    Such a node lies on every cycle found, so each cycle that avoids a
+    candidate cuts the candidates down to its own nodes.
+    """
+    candidates = set(cycle)
+    while candidates:
+        v = min(candidates)
+        other = _find_cycle(succ, skip=v)
+        if other is None:
+            return True
+        candidates.intersection_update(other)
+    return False
+
+
+def _anchor_exists(dg: MetatileDigraph) -> bool:
+    """Whether analyze_structure finds a common or pseudo-common node.
+
+    Decided on the inner subgraph (without "0") by acyclicity tests, in
+    time linear in its size per test (depth-first search, Tarjan 1972),
+    instead of by listing every cycle: a node lies on every cycle exactly
+    when removing it leaves no cycle.
+    """
+    succ = {
+        node: [arc.dst for arc in dg.arcs_from[node] if arc.dst != "0"]
+        for node in dg.nodes
+        if node != "0"
+    }
+    cycle = _find_cycle(succ)
+    if cycle is None or _on_every_cycle(succ, cycle):
+        return True
+    for e, dsts in succ.items():
+        if e not in dsts:
+            continue
+        # set one self-loop at e aside, as an errant loop; no node found
+        # now can be e, or e would have been on every cycle already
+        rest = list(dsts)
+        rest.remove(e)
+        succ[e] = rest
+        cycle = _find_cycle(succ)
+        found = cycle is not None and _on_every_cycle(succ, cycle)
+        succ[e] = dsts
+        if found:
+            return True
+    return False
+
+
 def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
     """Classify the digraph's cycles around a common or pseudo-common node.
 
@@ -300,9 +376,12 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
     nonempty set of inner cycles sharing a node other than the loop's own.
     Outer cycles and circuits are then computed relative to the chosen node.
 
-    Raises UnsupportedStructureError when no classification fits or when
-    enumerating cycles would exceed a fixed step budget.
+    Raises UnsupportedStructureError when no classification fits, which is
+    decided before any cycle is enumerated, or when enumerating the cycles
+    of a structure that fits would exceed a fixed step budget.
     """
+    if not _anchor_exists(dg):
+        raise UnsupportedStructureError(_NO_ANCHOR)
     budget = _Budget(_STEP_BUDGET)
     cycles = _simple_cycles(dg, budget)
     inner = [c for c in cycles if not c.visits("0")]
@@ -331,9 +410,7 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
                 kept = rest
                 break
         else:
-            raise UnsupportedStructureError(
-                "no common node and no errant loop restores one"
-            )
+            raise UnsupportedStructureError(_NO_ANCHOR)
 
     e_node = errant.arcs[0].src if errant is not None else None
 

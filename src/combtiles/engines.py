@@ -54,29 +54,37 @@ def _poly_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
     return Triangle.from_rows(spec, kind, table)
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+
+
 def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Triangle:
     """Rows 0..rows-1 of the tile- or board-indexed triangle."""
+    _check_method(method)
     if method == "oracle":
         return oracle.build_triangle(spec, kind, rows)
     if method == "poly":
         return _poly_triangle(spec, kind, rows)
     metric = _metric_for_kind(kind)
-    if method == "recursion":
-        rel = synthesize(analyze_structure(build_digraph(spec)), metric)
-        tri = evaluate(rel, rows - 1)
-        assert isinstance(tri, Triangle)
-        return tri
-    if method == "walk":
-        return walk_count(build_digraph(spec), metric, rows - 1)
-    # auto: synthesized recursion when the structure supports it, else walk DP
-    try:
-        return triangle(spec, kind, rows, "recursion")
-    except UnsupportedStructureError:
-        return triangle(spec, kind, rows, "walk")
+    # one digraph serves the recursion attempt and, for auto, the walk fallback
+    dg = build_digraph(spec)
+    if method != "walk":
+        try:
+            rel = synthesize(analyze_structure(dg), metric)
+        except UnsupportedStructureError:
+            if method == "recursion":
+                raise
+        else:
+            tri = evaluate(rel, rows - 1)
+            assert isinstance(tri, Triangle)
+            return tri
+    return walk_count(dg, metric, rows - 1)
 
 
 def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]:
     """Terms 0..n_terms-1: row sums by tile count, or board counts by cells."""
+    _check_method(method)
     if method == "oracle":
         kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
         return list(oracle.build_triangle(spec, kind, n_terms).row_sums())
@@ -87,14 +95,15 @@ def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]
         for n, _, c in _poly_tile_cells(spec, n_terms):
             out[n] += c
         return out
-    if method == "recursion":
-        rel = project_row_sum(synthesize(analyze_structure(build_digraph(spec)), metric))
-        seq = evaluate(rel, n_terms - 1)
-        assert isinstance(seq, tuple)
-        return list(seq)
-    if method == "walk":
-        return list(walk_sums(build_digraph(spec), metric, n_terms - 1))
-    try:
-        return sums(spec, metric, n_terms, "recursion")
-    except UnsupportedStructureError:
-        return sums(spec, metric, n_terms, "walk")
+    dg = build_digraph(spec)
+    if method != "walk":
+        try:
+            rel = project_row_sum(synthesize(analyze_structure(dg), metric))
+        except UnsupportedStructureError:
+            if method == "recursion":
+                raise
+        else:
+            seq = evaluate(rel, n_terms - 1)
+            assert isinstance(seq, tuple)
+            return list(seq)
+    return list(walk_sums(dg, metric, n_terms - 1))

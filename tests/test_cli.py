@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from combtiles import engines, oracle
 from combtiles.cli import main
 from combtiles.core import CombSpec, TriangleKind
+from combtiles.digraph import build_digraph
 from combtiles.polynomials import entry_via_poly
 from combtiles.recursion import Metric
 
@@ -92,14 +95,86 @@ def test_triangle_auto_falls_back_to_walk(run):
     )
     assert code_auto == code_walk == 0
     assert out_auto == out_walk == csv_of(TRIANGLES[(3, 3)][:12])
-    # (6,6) is refused by the step budget, on a cycle search that runs
-    # deeper than the interpreter's default recursion limit
+    # (6,6), the largest digraph of the grid, is refused by the structural
+    # test; its cycles alone would outrun the step budget
     code_auto, out_auto, err = run("triangle", "--m", "6", "--t", "6", "--rows", "5")
     code_walk, out_walk, _ = run(
         "triangle", "--m", "6", "--t", "6", "--rows", "5", "--method", "walk"
     )
     assert code_auto == code_walk == 0 and err == ""
     assert out_auto == out_walk == "1\n1,0\n1,0,0\n1,0,0,0\n1,0,0,0,0\n"
+
+
+def test_auto_builds_the_digraph_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return build_digraph(spec)
+
+    monkeypatch.setattr(engines, "build_digraph", counted)
+    # (4,4) is refused and falls back to walk; (2,3) classifies
+    for spec in [CombSpec(4, 4), CombSpec(2, 3)]:
+        for kind in TriangleKind:
+            calls.clear()
+            engines.triangle(spec, kind, 6, "auto")
+            assert calls == [spec]
+        for metric in Metric:
+            calls.clear()
+            engines.sums(spec, metric, 6, "auto")
+            assert calls == [spec]
+
+
+def test_engines_reject_unknown_methods():
+    spec = CombSpec(2, 3)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        engines.triangle(spec, TriangleKind.TILE, 4, "bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        engines.sums(spec, Metric.TILES, 4, "bogus")
+
+
+def _outcome(*argv: str) -> tuple[int, str]:
+    """Exit code and stdout; a refusal prints nothing but one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue() != "", argv
+    else:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code, out.getvalue()
+
+
+def _answers(*argv: str) -> dict[str, str]:
+    """Stdout of every method that answers the command."""
+    outcomes = {method: _outcome(*argv, "--method", method) for method in engines.METHODS}
+    return {method: out for method, (code, out) in outcomes.items() if code == 0}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(["tile", "board"]),
+    st.sampled_from(["tiles", "cells"]),
+    st.integers(min_value=1, max_value=6),
+)
+def test_cli_engines_agree_or_refuse(m, t, kind, metric, size):
+    fam = ["--m", str(m), "--t", str(t)]
+    triangles = _answers("triangle", *fam, "--rows", str(size), "--kind", kind)
+    sums = _answers("sums", *fam, "--n", str(2 * size), "--metric", metric)
+    assert len(set(triangles.values())) <= 1 and len(set(sums.values())) <= 1
+    # t = 1 is a usage error; otherwise auto and poly always answer
+    assert ("auto" in triangles) == ("poly" in triangles) == (t > 1)
+    assert ("auto" in sums) == ("poly" in sums) == (t > 1)
+    structure, _ = _outcome("digraph", *fam, "--format", "text")
+    recursion, _ = _outcome("recursion", *fam, "--metric", metric)
+    # the recursion engine answers exactly when its relation can be shown,
+    # and never for a structure that digraph refuses
+    assert ("recursion" in triangles) == ("recursion" in sums) == (recursion == 0)
+    assert structure == 0 or recursion == structure
 
 
 def test_triangle_board_kind(run):
@@ -187,15 +262,15 @@ def test_digraph_refusal_exit_code(run):
     code, out, err = run("digraph", "--m", "3", "--t", "3", "--format", "text")
     assert code == 1 and out == ""
     assert err.startswith("error: no common node")
-    # too large to classify, refused via the step budget; dot still works
+    # refused by the structural test before any cycle is listed; dot still works
     code, _, err = run("digraph", "--m", "4", "--t", "4", "--format", "text")
-    assert code == 1 and "step budget" in err
+    assert code == 1 and "no common node" in err
     code, out, _ = run("digraph", "--m", "4", "--t", "4", "--format", "dot")
     assert code == 0 and out.startswith("digraph metatiles {")
-    # refused the same way where the search would outgrow the recursion limit
+    # refused the same way on the largest digraph of the grid (7776 nodes)
     code, out, err = run("digraph", "--m", "6", "--t", "6", "--format", "text")
     assert code == 1 and out == ""
-    assert err == "error: cycle enumeration exceeded the step budget\n"
+    assert err == "error: no common node and no errant loop restores one\n"
 
 
 def test_metatiles_output(run):
@@ -244,7 +319,7 @@ def test_recursion_refusal_exit_code(run):
     assert code == 1 and out == ""
     assert "no common node" in err
     code, _, err = run("recursion", "--m", "4", "--t", "5")
-    assert code == 1 and "step budget" in err
+    assert code == 1 and "no common node" in err
 
 
 def test_verify_quick(run):

@@ -3,9 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import combtiles.digraph as digraph
 from combtiles.core import CombSpec
 from combtiles.digraph import (
+    Arc,
+    MetatileDigraph,
     UnsupportedStructureError,
     analyze_structure,
     build_digraph,
@@ -140,10 +145,69 @@ def test_structure_refusal_no_pattern():
 
 
 def test_structure_refusal_step_budget():
-    # 64 nodes; exhaustive cycle enumeration must give up, not hang
+    # 64 nodes with more simple cycles than the step budget allows; the
+    # structural test refuses it without listing them
     dg = build_digraph(CombSpec(4, 4))
-    with pytest.raises(UnsupportedStructureError, match="step budget"):
+    with pytest.raises(UnsupportedStructureError, match="no common node"):
         analyze_structure(dg)
+
+
+# the families whose cycles outrun the step budget, all without an anchor
+BUDGET_SIZED_REFUSALS = [
+    (4, 4), (4, 5), (4, 6), (5, 3), (5, 4), (5, 5), (5, 6),
+    (6, 3), (6, 4), (6, 5), (6, 6),
+]
+
+
+def test_refusals_decided_without_listing_cycles(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("_simple_cycles called")
+
+    monkeypatch.setattr(digraph, "_simple_cycles", no_enumeration)
+    for m, t in BUDGET_SIZED_REFUSALS:
+        dg = build_digraph(CombSpec(m, t))
+        with pytest.raises(UnsupportedStructureError, match="no common node"):
+            analyze_structure(dg)
+
+
+def _anchor_by_enumeration(dg: MetatileDigraph) -> bool:
+    """The rule of analyze_structure, applied to the full list of inner cycles."""
+    cycles = digraph._simple_cycles(dg, digraph._Budget(10**9))
+    inner = [c for c in cycles if not c.visits("0")]
+    if not inner or set.intersection(*(set(c.nodes) for c in inner)):
+        return True
+    for loop in inner:
+        if loop.n_tiles != 1:
+            continue
+        rest = [c for c in inner if c is not loop]
+        if rest and set.intersection(*(set(c.nodes) for c in rest)) - {loop.nodes[0]}:
+            return True
+    return False
+
+
+@st.composite
+def small_digraphs(draw):
+    nodes = ("0",) + tuple(f"v{i}" for i in range(1, draw(st.integers(1, 8))))
+    target = st.none() | st.sampled_from(nodes)
+    arcs = []
+    for src in nodes:
+        for label in ("S", "C"):
+            dst = draw(target)
+            if dst is not None:
+                arcs.append(Arc(src, dst, label, 1, int(label == "C")))
+    return MetatileDigraph(CombSpec(2, 3), nodes, tuple(arcs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs())
+def test_anchor_test_matches_cycle_enumeration(dg):
+    expected = _anchor_by_enumeration(dg)
+    assert digraph._anchor_exists(dg) == expected
+    if expected:
+        analyze_structure(dg)  # the enumeration then finds the anchor
+    else:
+        with pytest.raises(UnsupportedStructureError, match="no common node"):
+            analyze_structure(dg)
 
 
 def test_step_budget_is_effective(monkeypatch):
