@@ -10,6 +10,7 @@ output. Exit codes: 0 success, 1 verification failure or refused structure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -157,6 +158,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# parse_args leaves the parser unchanged, so one parser serves every main() call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combtiles",

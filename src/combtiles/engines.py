@@ -34,18 +34,17 @@ def _poly_tile_cells(spec: CombSpec, rows: int) -> Iterator[tuple[int, int, int]
     Cell (b - (t-1)k, k) is [x^k] P_b; deg P_b <= b/t keeps every cell in k <= n.
     """
     shift = spec.t - 1
-    for b, prod in enumerate(board_products(spec, spec.t * (rows - 1))):
-        for k, c in enumerate(prod.coeffs):
-            n = b - shift * k
-            if n < rows:
-                yield n, k, c
+    for b, (k0, coeffs) in enumerate(board_products(spec, spec.t * (rows - 1), rows)):
+        for k, c in enumerate(coeffs, k0):
+            yield b - shift * k, k, c
 
 
 def _poly_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
     if kind is TriangleKind.BOARD:
+        # b < rows: every degree is unpacked (k0 = 0), and deg P_b <= b
         table = [
-            [prod.coefficient(k) for k in range(n + 1)]
-            for n, prod in enumerate(board_products(spec, rows - 1))
+            coeffs + [0] * (n + 1 - len(coeffs))
+            for n, (_, coeffs) in enumerate(board_products(spec, rows - 1, rows))
         ]
     else:
         table = [[0] * (n + 1) for n in range(rows)]
@@ -59,9 +58,15 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
 
 
+def _check_size(name: str, size: int) -> None:
+    if size < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Triangle:
     """Rows 0..rows-1 of the tile- or board-indexed triangle."""
     _check_method(method)
+    _check_size("rows", rows)
     if method == "oracle":
         return oracle.build_triangle(spec, kind, rows)
     if method == "poly":
@@ -85,6 +90,7 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
 def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]:
     """Terms 0..n_terms-1: row sums by tile count, or board counts by cells."""
     _check_method(method)
+    _check_size("n_terms", n_terms)
     if method == "oracle":
         kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
         return list(oracle.build_triangle(spec, kind, n_terms).row_sums())

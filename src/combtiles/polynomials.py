@@ -137,18 +137,49 @@ def bonacci_number(t: int, n: int) -> int:
     return vals[-1] if vals else 0
 
 
-def board_products(spec: CombSpec, max_board: int) -> Iterator[IntPolynomial]:
-    """Yield P_b = f_j^(m-r) * f_{j+1}^r for boards b = m*j + r = 0..max_board.
+def _bonacci_values(t: int, shift: int) -> Iterator[int]:
+    """F_n = f_n(2^shift) for n = 0, 1, 2, ..., one shift and one add each."""
+    # the last t members, F_{n-t} first; those before F_0 are zero
+    window: deque[int] = deque([0] * (t - 1) + [1], maxlen=t)
+    yield 1
+    while True:
+        window.append(window[-1] + (window[0] << shift))
+        yield window[-1]
 
-    [x^k] P_b counts tilings of a b-board with k combs. Only the powers
-    f_j^e and f_{j+1}^e (e <= m) are kept, so each P_b costs one product,
-    plus the m - 1 that build the powers of each new f_{j+1}.
+
+def board_products(
+    spec: CombSpec, max_board: int, rows: int
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield (k0, [c_k0, ..., c_d]) with c_k = [x^k] P_b for boards b = 0..max_board.
+
+    P_b = f_j^(m-r) * f_{j+1}^r for b = m*j + r, of degree d, and [x^k] P_b
+    counts tilings of a b-board with k combs. Degrees below
+    k0 = max(0, ceil((b - rows + 1) / (t - 1))) are skipped: their tile cell
+    (b - (t-1)*k, k) lies in row rows or later. No degree is skipped for
+    b < rows.
+
+    Each P_b is computed as one integer, P_b(2^w), by Kronecker
+    substitution: the family runs as F_n = F_{n-1} + (F_{n-t} << w), so
+    F_n = f_n(2^w); only the powers F_j^e and F_{j+1}^e (e <= m) are kept,
+    so each P_b costs one big-integer product, plus the m - 1 that build the
+    powers of each new F_{j+1}. The coefficients are then read off as w-bit
+    slots of P_b(2^w), one ``to_bytes`` call per board.
+
+    The slots never carry into each other. The width w is the bit length
+    of P_max_board(1), rounded up to whole bytes. Every coefficient of P_b
+    is >= 0 (it counts tilings), so each is at most their sum P_b(1).
+    P_b(1) counts all tilings of a b-board, which never falls as b grows:
+    going from b to b + 1 replaces one factor f_j(1) by f_{j+1}(1) >= f_j(1).
+    Hence every coefficient is <= P_b(1) <= P_max_board(1) < 2^w, and the
+    base-2^w digits of P_b(2^w) are exactly the coefficients of P_b.
     """
-    m = spec.m
-    family = _bonacci_polys(spec.t)
+    m, t = spec.m, spec.t
+    top = antidiagonal_sum_closed(spec, *divmod(max_board, m))
+    width = -(-top.bit_length() // 8)
+    family = _bonacci_values(t, 8 * width)
 
-    def powers(f: IntPolynomial) -> list[IntPolynomial]:
-        out = [IntPolynomial((1,)), f]
+    def powers(f: int) -> list[int]:
+        out = [1, f]
         for _ in range(m - 1):
             out.append(out[-1] * f)
         return out
@@ -158,9 +189,15 @@ def board_products(spec: CombSpec, max_board: int) -> Iterator[IntPolynomial]:
         r = b % m
         if r == 0:
             low, high = high, powers(next(family))
-            yield low[m]
+            packed = low[m]
         else:
-            yield low[m - r] * high[r]
+            packed = low[m - r] * high[r]
+        raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
+        k0 = max(0, -((rows - 1 - b) // (t - 1)))
+        yield k0, [
+            int.from_bytes(raw[i : i + width], "little")
+            for i in range(k0 * width, len(raw), width)
+        ]
 
 
 def board_counts(spec: CombSpec, n: int) -> list[int]:

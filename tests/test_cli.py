@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtiles import engines, oracle
-from combtiles.cli import main
+from combtiles.cli import _build_parser, main
 from combtiles.core import CombSpec, TriangleKind
 from combtiles.digraph import build_digraph
 from combtiles.polynomials import entry_via_poly
@@ -86,6 +86,80 @@ def test_poly_sums_match_walk_and_oracle(m, t, metric, n_terms):
     poly = engines.sums(spec, metric, n_terms, "poly")
     assert poly == engines.sums(spec, metric, n_terms, "walk")
     assert poly == engines.sums(spec, metric, n_terms, "oracle")
+
+
+def test_poly_engine_with_wide_slots():
+    # P_b(1) for (2,3) at board 597 has 328 bits, so each slot is 328 bits wide
+    spec = CombSpec(2, 3)
+    for kind in TriangleKind:
+        assert engines.triangle(spec, kind, 200, "poly") == engines.triangle(
+            spec, kind, 200, "recursion"
+        ), kind
+    for metric in Metric:
+        assert engines.sums(spec, metric, 200, "poly") == engines.sums(
+            spec, metric, 200, "recursion"
+        ), metric
+    spec = CombSpec(6, 6)
+    tri = engines.triangle(spec, TriangleKind.TILE, 90, "poly")
+    for n in [0, 1, 2, 45, 88, 89]:
+        for k in range(n + 1):
+            j, r = divmod(n + 5 * k, 6)
+            assert tri.entry(n, k) == entry_via_poly(spec, j, r, k), (n, k)
+
+
+def test_poly_engine_edge_sizes():
+    # rows = 1 unpacks one board; t = 2 makes the band's divisor t - 1 = 1
+    for m in range(1, 7):
+        for t, rows in [(2, 1), (2, 2), (2, 9), (5, 1)]:
+            spec = CombSpec(m, t)
+            for kind in TriangleKind:
+                assert engines.triangle(spec, kind, rows, "poly") == (
+                    oracle.build_triangle(spec, kind, rows)
+                ), (m, t, kind, rows)
+            for metric in Metric:
+                assert engines.sums(spec, metric, rows, "poly") == engines.sums(
+                    spec, metric, rows, "oracle"
+                ), (m, t, metric, rows)
+
+
+def test_engines_reject_sizes_below_one():
+    spec = CombSpec(2, 3)
+    for method in engines.METHODS:
+        for size in [0, -3]:
+            for kind in TriangleKind:
+                with pytest.raises(ValueError, match="^rows must be >= 1$"):
+                    engines.triangle(spec, kind, size, method)
+            for metric in Metric:
+                with pytest.raises(ValueError, match="^n_terms must be >= 1$"):
+                    engines.sums(spec, metric, size, method)
+
+
+def test_parser_is_reused_across_calls(capsys):
+    calls = [
+        ["triangle", "--m", "2", "--t", "3", "--rows", "6", "--format", "json"],
+        ["triangle", "--m", "2", "--t", "3", "--rows", "0"],
+        ["triangle", "--m", "2", "--t", "4", "--rows", "5"],
+        ["sums", "--m", "2", "--t", "3", "--format", "bogus"],
+        ["sums", "--m", "4", "--t", "2", "--n", "9", "--metric", "cells"],
+    ]
+
+    def outcome(argv: list[str]) -> tuple[object, str, str]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    separate = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        separate.append(outcome(argv))
+    _build_parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]
+    assert _build_parser() is _build_parser()
+    assert shared == separate
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0]
 
 
 def test_triangle_auto_falls_back_to_walk(run):

@@ -10,6 +10,7 @@ from combtiles.polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
     board_counts,
+    board_products,
     bonacci_number,
     bonacci_poly,
     entry_via_poly,
@@ -141,6 +142,23 @@ def test_antidiagonal_sum_closed_matches_board_counts():
             j, r = divmod(board, m)
             assert antidiagonal_sum_closed(spec, j, r) == expected, (m, t, board)
         assert board_counts(spec, len(sums)) == list(sums), (m, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=61),
+)
+def test_board_products_unpack_the_closed_form_products(m, t, max_board, rows):
+    spec = CombSpec(m, t)
+    for b, (k0, coeffs) in enumerate(board_products(spec, max_board, rows)):
+        j, r = divmod(b, m)
+        expected = bonacci_poly(t, j) ** (m - r) * bonacci_poly(t, j + 1) ** r
+        # the band starts at the first degree whose tile row b - (t-1)k is < rows
+        assert k0 == max(0, -(-(b - rows + 1) // (t - 1))), b
+        assert tuple(coeffs) == expected.coeffs[k0:], b
 
 
 def test_power_series_div_generates_tile_sums():
