@@ -11,13 +11,54 @@ gives two lower-triangular integer tables related by an index shift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from enum import Enum
-from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class CombSpec:
+class Frozen:
+    """Immutable record whose fields are the names in ``_fields``.
+
+    A subclass declares ``__slots__ = _fields = (...)`` and sets every slot
+    once, in order, through ``_set`` in ``__init__``. Equality (within one
+    class), hashing and ``repr`` go field by field. The methods are written
+    out here, not generated at import: generating them, and importing the
+    modules that do it, costs a cold process more time than most requests
+    spend counting.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def replace(self, **changes: object):
+        """A copy with the named fields changed, built through ``__init__``."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class CombSpec(Frozen):
     """Parameters of the tile family: squares plus combs with t teeth m apart.
 
     A comb anchored at cell p occupies {p, p + m, ..., p + (t-1)m}, so it
@@ -25,10 +66,10 @@ class CombSpec:
     plain t-omino; with t = 2 it is a two-tooth fence.
     """
 
-    m: int
-    t: int
+    __slots__ = _fields = ("m", "t")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, t: int) -> None:
+        self._set(m, t)
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
         if self.t < 2:
@@ -89,21 +130,22 @@ class TriangleKind(Enum):
     BOARD = "board"
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Frozen):
     """Dense lower-triangular table of nonnegative big integers.
 
     Row n holds entries for k = 0..n, trailing zeros included. Entries
     outside the stored triangle (k < 0 or k > n) read as zero.
     """
 
-    spec: CombSpec
-    kind: TriangleKind
-    rows: tuple[tuple[int, ...], ...] = field(default=())
+    __slots__ = _fields = ("spec", "kind", "rows")
 
-    def __post_init__(self) -> None:
-        frozen = tuple(tuple(int(e) for e in row) for row in self.rows)
-        object.__setattr__(self, "rows", frozen)
+    def __init__(
+        self, spec: CombSpec, kind: TriangleKind, rows: Iterable[Sequence[int]] = ()
+    ) -> None:
+        # from lists, not generators: a tuple filled from a generator is reallocated
+        # as it grows, which over many requests fragments a long-lived process's heap
+        frozen = tuple([tuple([int(e) for e in row]) for row in rows])
+        self._set(spec, kind, frozen)
         for n, row in enumerate(frozen):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
@@ -145,7 +187,7 @@ class Triangle:
     def from_rows(
         cls, spec: CombSpec, kind: TriangleKind, rows: Iterable[Sequence[int]]
     ) -> "Triangle":
-        return cls(spec, kind, tuple(tuple(row) for row in rows))
+        return cls(spec, kind, rows)
 
     @classmethod
     def from_json(cls, text: str) -> "Triangle":

@@ -10,12 +10,10 @@ common circuits, errant loops) is what recursion synthesis consumes.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import deque
-from dataclasses import dataclass, replace
 
-from .core import CombSpec, comb_cells
+from .core import CombSpec, Frozen, comb_cells
 from .oracle import COMB, SQUARE, Tiling
 
 _LABEL_ORDER = {SQUARE: 0, COMB: 1}
@@ -43,39 +41,38 @@ class _Budget:
         return self.left >= 0
 
 
-@dataclass(frozen=True)
-class Arc:
-    src: str
-    dst: str
-    label: str
-    cell_weight: int  # 1 for a square, t for a comb
-    comb_weight: int  # 0 for a square, 1 for a comb
+class Arc(Frozen):
+    # cell_weight: 1 for a square, t for a comb
+    # comb_weight: 0 for a square, 1 for a comb
+    __slots__ = _fields = ("src", "dst", "label", "cell_weight", "comb_weight")
+
+    def __init__(
+        self, src: str, dst: str, label: str, cell_weight: int, comb_weight: int
+    ) -> None:
+        self._set(src, dst, label, cell_weight, comb_weight)
 
 
-@dataclass(frozen=True)
-class MetatileDigraph:
-    spec: CombSpec
-    nodes: tuple[str, ...]
-    arcs: tuple[Arc, ...]
+class MetatileDigraph(Frozen):
+    """Nodes and arcs; equality, hashing and ``repr`` leave out the two lookups."""
 
-    @functools.cached_property
-    def node_index(self) -> dict[str, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
+    _fields = ("spec", "nodes", "arcs")
+    __slots__ = _fields + ("node_index", "arcs_from")
 
-    @functools.cached_property
-    def arcs_from(self) -> dict[str, tuple[Arc, ...]]:
-        table: dict[str, list[Arc]] = {node: [] for node in self.nodes}
-        for arc in self.arcs:
+    def __init__(self, spec: CombSpec, nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> None:
+        index = {node: i for i, node in enumerate(nodes)}
+        table: dict[str, list[Arc]] = {node: [] for node in nodes}
+        for arc in arcs:
             table[arc.src].append(arc)
-        return {node: tuple(arcs) for node, arcs in table.items()}
+        self._set(spec, nodes, arcs, index, {n: tuple(out) for n, out in table.items()})
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Frozen):
     """A closed walk (or, for circuits, a 0-to-0 walk) as its arc sequence."""
 
-    arcs: tuple[Arc, ...]
-    plain: bool = True
+    __slots__ = _fields = ("arcs", "plain")
+
+    def __init__(self, arcs: tuple[Arc, ...], plain: bool = True) -> None:
+        self._set(arcs, plain)
 
     @property
     def n_tiles(self) -> int:
@@ -101,8 +98,7 @@ class Cycle:
         return any(arc.src == node for arc in self.arcs)
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(Frozen):
     """Classified cycles of a metatile digraph.
 
     Exactly one of three shapes:
@@ -114,13 +110,18 @@ class CycleStructure:
     through "0" and avoid the anchor node; circuits pass through both.
     """
 
-    digraph: MetatileDigraph
-    inner_cycles: tuple[Cycle, ...]
-    outer_cycles: tuple[Cycle, ...]
-    circuits: tuple[Cycle, ...]
-    common_node: str | None = None
-    pseudo_common: str | None = None
-    errant: Cycle | None = None
+    __slots__ = _fields = ("digraph", "inner_cycles", "outer_cycles", "circuits",
+                           "common_node", "pseudo_common", "errant")
+
+    def __init__(
+        self, digraph: MetatileDigraph, inner_cycles: tuple[Cycle, ...],
+        outer_cycles: tuple[Cycle, ...], circuits: tuple[Cycle, ...],
+        common_node: str | None = None, pseudo_common: str | None = None,
+        errant: Cycle | None = None,
+    ) -> None:
+        self._set(
+            digraph, inner_cycles, outer_cycles, circuits, common_node, pseudo_common, errant
+        )
 
     @property
     def anchor(self) -> str | None:
@@ -417,7 +418,7 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
     def finish(cycle: Cycle) -> Cycle:
         if e_node is None:
             return cycle
-        return replace(cycle, plain=not cycle.visits(e_node))
+        return cycle.replace(plain=not cycle.visits(e_node))
 
     outer = [finish(c) for c in zero_cycles if not c.visits(anchor)]
     circuits = []
@@ -437,7 +438,7 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
         tuple(circuits),
         common_node=anchor if errant is None else None,
         pseudo_common=anchor if errant is not None else None,
-        errant=replace(errant, plain=False) if errant is not None else None,
+        errant=errant.replace(plain=False) if errant is not None else None,
     )
 
 

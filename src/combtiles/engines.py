@@ -6,7 +6,7 @@ when the structure classifies and falls back to walk counting otherwise.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import oracle
 from .core import CombSpec, Triangle, TriangleKind

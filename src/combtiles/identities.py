@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .core import CombSpec, Triangle, board_to_tile_index, max_combs
+from .core import CombSpec, Frozen, Triangle, board_to_tile_index, max_combs
 from .digraph import CycleStructure, analyze_structure, build_digraph
 from .oracle import _board_comb_counts, enumerate_restricted_subsets
 from .polynomials import (
@@ -36,12 +35,11 @@ from .recursion import (
 )
 
 
-@dataclass(frozen=True)
-class GridProfile:
-    name: str
-    max_m: int
-    max_t: int
-    max_n: int
+class GridProfile(Frozen):
+    __slots__ = _fields = ("name", "max_m", "max_t", "max_n")
+
+    def __init__(self, name: str, max_m: int, max_t: int, max_n: int) -> None:
+        self._set(name, max_m, max_t, max_n)
 
 
 PROFILES = {
@@ -50,13 +48,14 @@ PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check_name: str
-    grid: str
-    cases_run: int
-    failures: tuple[tuple[str, str, str], ...] = ()
-    notes: str = ""
+class CheckReport(Frozen):
+    __slots__ = _fields = ("check_name", "grid", "cases_run", "failures", "notes")
+
+    def __init__(
+        self, check_name: str, grid: str, cases_run: int,
+        failures: tuple[tuple[str, str, str], ...] = (), notes: str = "",
+    ) -> None:
+        self._set(check_name, grid, cases_run, failures, notes)
 
     @property
     def passed(self) -> bool:

@@ -10,10 +10,10 @@ by residue class) live here too.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .core import (
     CombSpec,
+    Frozen,
     Triangle,
     TriangleKind,
     comb_cells,
@@ -27,8 +27,7 @@ DEFAULT_MAX_TILES = 22
 DEFAULT_MAX_UNIVERSE = 24
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(Frozen):
     """A complete tiling of a board, as a list of (tile kind, anchor cell).
 
     The anchor of a square is its cell; the anchor of a comb is its leftmost
@@ -36,11 +35,12 @@ class Tiling:
     validates that the tiles cover {1..board_len} exactly once.
     """
 
-    spec: CombSpec
-    board_len: int
-    placements: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("spec", "board_len", "placements")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, spec: CombSpec, board_len: int, placements: tuple[tuple[str, int], ...]
+    ) -> None:
+        self._set(spec, board_len, placements)
         if self.board_len < 0:
             raise ValueError("board_len must be >= 0")
         covered: set[int] = set()
@@ -219,15 +219,13 @@ def build_triangle(
     return Triangle.from_rows(spec, kind, table)
 
 
-@dataclass(frozen=True)
-class RestrictedSubset:
+class RestrictedSubset(Frozen):
     """A subset of {1..n} in which no two members differ by m, 2m, ..., (t-1)m."""
 
-    spec: CombSpec
-    n: int
-    members: tuple[int, ...]
+    __slots__ = _fields = ("spec", "n", "members")
 
-    def __post_init__(self) -> None:
+    def __init__(self, spec: CombSpec, n: int, members: tuple[int, ...]) -> None:
+        self._set(spec, n, members)
         if self.n < 0:
             raise ValueError("universe size must be >= 0")
         banned = {q * self.spec.m for q in range(1, self.spec.t)}

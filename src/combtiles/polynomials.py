@@ -13,24 +13,22 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from itertools import islice
-from typing import Iterator, Sequence
 
-from .core import CombSpec
+from .core import CombSpec, Frozen
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Polynomial with integer coefficients, stored low degree first."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        cleaned = [int(c) for c in self.coeffs]
+    def __init__(self, coeffs: Sequence[int] = ()) -> None:
+        cleaned = [int(c) for c in coeffs]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        self._set(tuple(cleaned))
 
     @property
     def degree(self) -> int:
@@ -162,8 +160,9 @@ def board_products(
     substitution: the family runs as F_n = F_{n-1} + (F_{n-t} << w), so
     F_n = f_n(2^w); only the powers F_j^e and F_{j+1}^e (e <= m) are kept,
     so each P_b costs one big-integer product, plus the m - 1 that build the
-    powers of each new F_{j+1}. The coefficients are then read off as w-bit
-    slots of P_b(2^w), one ``to_bytes`` call per board.
+    powers of each new F_{j+1} when a later board needs them. The
+    coefficients are then read off as w-bit slots of P_b(2^w), one
+    ``to_bytes`` call per board.
 
     The slots never carry into each other. The width w is the bit length
     of P_max_board(1), rounded up to whole bytes. Every coefficient of P_b
@@ -188,7 +187,9 @@ def board_products(
     for b in range(max_board + 1):
         r = b % m
         if r == 0:
-            low, high = high, powers(next(family))
+            low = high
+            if b < max_board:
+                high = powers(next(family))
             packed = low[m]
         else:
             packed = low[m - r] * high[r]

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import CombSpec, Triangle, TriangleKind
+from .core import CombSpec, Frozen, Triangle, TriangleKind
 from .digraph import Cycle, CycleStructure, MetatileDigraph, UnsupportedStructureError
 
 
@@ -24,8 +23,7 @@ class Metric(Enum):
     CELLS = "cells"
 
 
-@dataclass(frozen=True)
-class RecursionRelation:
+class RecursionRelation(Frozen):
     """B(n,k) = sum of delta terms + sum of coeff * B(n - dn, k - dk).
 
     Out-of-range references (n < 0, k < 0, k > n) read as 0. When tracks_k
@@ -33,13 +31,14 @@ class RecursionRelation:
     plain sequence B(n).
     """
 
-    spec: CombSpec
-    metric: Metric
-    tracks_k: bool
-    delta_terms: tuple[tuple[int, int | None, int], ...]
-    shift_terms: tuple[tuple[int, int | None, int], ...]
+    __slots__ = _fields = ("spec", "metric", "tracks_k", "delta_terms", "shift_terms")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, spec: CombSpec, metric: Metric, tracks_k: bool,
+        delta_terms: tuple[tuple[int, int | None, int], ...],
+        shift_terms: tuple[tuple[int, int | None, int], ...],
+    ) -> None:
+        self._set(spec, metric, tracks_k, delta_terms, shift_terms)
         for n0, k0, coeff in self.delta_terms:
             if n0 < 0 or coeff == 0 or (k0 is None) == self.tracks_k:
                 raise ValueError(f"bad delta term ({n0},{k0},{coeff})")

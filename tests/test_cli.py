@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -430,3 +433,22 @@ def test_output_is_deterministic(run):
     assert first == second
     assert run("digraph", "--m", "4", "--t", "2") == run("digraph", "--m", "4", "--t", "2")
     assert run("verify") == run("verify")
+
+
+def test_cold_start_avoids_heavy_stdlib_modules():
+    # without site only the package's own imports count: a triangle and a
+    # verify run must load none of these
+    code = """
+import contextlib, io, sys
+from combtiles.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = (main(["triangle", "--m", "2", "--t", "3", "--rows", "8"]),
+             main(["verify", "--profile", "quick"]))
+print(codes, sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout == "(0, 0) []\n", done.stderr

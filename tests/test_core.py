@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -15,6 +16,11 @@ from combtiles.core import (
     max_combs,
     tile_to_board_index,
 )
+from combtiles.digraph import Arc, Cycle, MetatileDigraph, analyze_structure, build_digraph
+from combtiles.identities import CheckReport, GridProfile
+from combtiles.oracle import RestrictedSubset, Tiling
+from combtiles.polynomials import IntPolynomial
+from combtiles.recursion import Metric, synthesize
 
 specs = st.builds(
     CombSpec, m=st.integers(min_value=1, max_value=6), t=st.integers(min_value=2, max_value=6)
@@ -119,3 +125,66 @@ def test_triangle_row_sums():
     spec = CombSpec(2, 3)
     tri = Triangle.from_rows(spec, TriangleKind.TILE, [[1], [1, 0], [1, 0, 1]])
     assert tri.row_sums() == (1, 1, 2)
+
+
+def _arc() -> Arc:
+    return Arc("0", "0", "S", 1, 0)
+
+
+# two calls of each factory build equal values that are distinct objects
+VALUE_FACTORIES = [
+    lambda: CombSpec(2, 3),
+    lambda: Triangle(CombSpec(2, 3), TriangleKind.TILE, ((1,), (1, 0))),
+    _arc,
+    lambda: build_digraph(CombSpec(2, 3)),
+    lambda: Cycle((_arc(),)),
+    lambda: analyze_structure(build_digraph(CombSpec(2, 5))),
+    lambda: Tiling(CombSpec(2, 3), 1, (("S", 1),)),
+    lambda: RestrictedSubset(CombSpec(2, 3), 3, (1, 2)),
+    lambda: IntPolynomial((1, 2)),
+    lambda: synthesize(analyze_structure(build_digraph(CombSpec(2, 3))), Metric.TILES),
+    lambda: GridProfile("quick", 3, 4, 14),
+    lambda: CheckReport("col0", "m<=3", 1),
+]
+
+
+@pytest.mark.parametrize("make", VALUE_FACTORIES)
+def test_value_semantics(make):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a.__eq__(object()) is NotImplemented and a != a._values()
+    assert not hasattr(a, "__dict__")
+    first = a._fields[0]
+    assert repr(a).startswith(f"{type(a).__name__}({first}=")
+    with pytest.raises(AttributeError):
+        setattr(a, first, getattr(a, first))
+    with pytest.raises(AttributeError):
+        delattr(a, first)
+    assert a.replace() == a and a.replace() is not a
+
+
+def test_value_repr_replace_and_cache_keys():
+    spec = CombSpec(2, 3)
+    assert repr(spec) == "CombSpec(m=2, t=3)"
+    assert spec.replace(t=4) == CombSpec(2, 4)
+    with pytest.raises(ValueError):
+        spec.replace(m=0)
+    cycle = Cycle((_arc(),))
+    flipped = cycle.replace(plain=False)
+    assert flipped.arcs is cycle.arcs and not flipped.plain and cycle.plain
+    assert flipped != cycle
+    calls = []
+
+    @functools.lru_cache(maxsize=None)
+    def cached(key: CombSpec) -> int:
+        calls.append(key)
+        return key.m
+
+    assert cached(CombSpec(2, 3)) + cached(CombSpec(2, 3)) == 4 and calls == [spec]
+    dg = build_digraph(spec)
+    # the lookup tables are built once and take no part in equality or repr
+    assert dg.arcs_from["0"] == tuple(a for a in dg.arcs if a.src == "0")
+    assert dg.node_index == {node: i for i, node in enumerate(dg.nodes)}
+    assert repr(dg).startswith("MetatileDigraph(spec=CombSpec(m=2, t=3), nodes=(")
+    assert "node_index" not in repr(dg) and dg == MetatileDigraph(spec, dg.nodes, dg.arcs)

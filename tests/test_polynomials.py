@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combtiles import polynomials
 from combtiles.core import CombSpec
 from combtiles.oracle import enumerate_tilings
 from combtiles.polynomials import (
@@ -159,6 +160,27 @@ def test_board_products_unpack_the_closed_form_products(m, t, max_board, rows):
         # the band starts at the first degree whose tile row b - (t-1)k is < rows
         assert k0 == max(0, -(-(b - rows + 1) // (t - 1))), b
         assert tuple(coeffs) == expected.coeffs[k0:], b
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_board_products_end_on_a_multiple_of_m(m, monkeypatch):
+    # the last board m*j is f_j^m: F_{j+1} and its powers are never built
+    drawn = []
+    values = polynomials._bonacci_values
+
+    def counted(t, shift):
+        for value in values(t, shift):
+            drawn.append(value)
+            yield value
+
+    monkeypatch.setattr(polynomials, "_bonacci_values", counted)
+    for t in (2, 3, 5):
+        for j in (0, 1, 4):
+            drawn.clear()
+            *_, (k0, coeffs) = board_products(CombSpec(m, t), m * j, m * j + 1)
+            assert k0 == 0
+            assert tuple(coeffs) == (bonacci_poly(t, j) ** m).coeffs
+            assert len(drawn) == j + 1
 
 
 def test_power_series_div_generates_tile_sums():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -169,14 +168,14 @@ def test_walk_count_works_where_synthesis_refuses():
 def test_errant_synthesis_hypothesis_checks():
     st_25 = structure(2, 5)
     # flip the non-plain inner cycle to plain: now two plain, zero non-plain
-    broken = replace(
-        st_25, inner_cycles=tuple(replace(c, plain=True) for c in st_25.inner_cycles)
+    broken = st_25.replace(
+        inner_cycles=tuple(c.replace(plain=True) for c in st_25.inner_cycles)
     )
     with pytest.raises(UnsupportedStructureError, match="inner cycle"):
         synthesize(broken, Metric.TILES)
     # mark an outer cycle non-plain
-    broken = replace(
-        st_25, outer_cycles=tuple(replace(c, plain=False) for c in st_25.outer_cycles)
+    broken = st_25.replace(
+        outer_cycles=tuple(c.replace(plain=False) for c in st_25.outer_cycles)
     )
     with pytest.raises(UnsupportedStructureError, match="outer cycle"):
         synthesize(broken, Metric.TILES)
