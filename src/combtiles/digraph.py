@@ -1,22 +1,27 @@
 """State digraph whose walks from 0 back to 0 are exactly the metatiles.
 
-A node is the occupancy string of a partially built metatile, read from the
-first empty cell to the last occupied cell (so it starts with 0 and ends
-with 1); the empty state is the single node "0". An S-arc fills the first
-empty cell with a square, a C-arc anchors a comb there when none of its
-teeth collide. Cycle structure of this digraph (inner cycles, outer cycles,
-common circuits, errant loops) is what recursion synthesis consumes.
+A state of a partially built metatile is an int bitmask: bit i is set when
+cell i, counted from the first empty cell, is occupied, so bit 0 is always
+clear and the empty state is 0. A tile is a bitmask too, 1 for a square and
+sum(1 << (i*m) for i < t) for a comb. It fits when it meets no set bit;
+placing it sets its bits, and the state then shifts right past its trailing
+ones to the next empty cell. An S-arc places a square, a C-arc a comb.
+
+Nodes are numbered, with 0 for the empty state, and every search runs over
+node numbers. Node labels are for display and tie-breaks only: a label is
+the state's occupancy read from the first empty cell to the last occupied
+one, as a string of 0s and 1s, so the empty state is "0". Cycle structure
+of this digraph (inner cycles, outer cycles, common circuits, errant loops)
+is what recursion synthesis consumes.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 
 from .core import CombSpec, Frozen, comb_cells
 from .oracle import COMB, SQUARE, Tiling
 
-_LABEL_ORDER = {SQUARE: 0, COMB: 1}
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 # exhaustive cycle/walk enumeration is exponential on larger digraphs; a
@@ -53,17 +58,29 @@ class Arc(Frozen):
 
 
 class MetatileDigraph(Frozen):
-    """Nodes and arcs; equality, hashing and ``repr`` leave out the two lookups."""
+    """Labelled nodes, with the empty state "0" first, and arcs between them.
+
+    ``out[u]`` holds the arcs out of node number u as (dst number, arc)
+    pairs, in ``arcs`` order. Equality, hashing and ``repr`` leave it out.
+    """
 
     _fields = ("spec", "nodes", "arcs")
-    __slots__ = _fields + ("node_index", "arcs_from")
+    __slots__ = _fields + ("out",)
 
     def __init__(self, spec: CombSpec, nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> None:
+        if not nodes or nodes[0] != "0":
+            raise ValueError('the first node must be the empty state "0"')
         index = {node: i for i, node in enumerate(nodes)}
-        table: dict[str, list[Arc]] = {node: [] for node in nodes}
+        if len(index) != len(nodes):
+            raise ValueError("duplicate node label")
+        out: list[list[tuple[int, Arc]]] = [[] for _ in nodes]
         for arc in arcs:
-            table[arc.src].append(arc)
-        self._set(spec, nodes, arcs, index, {n: tuple(out) for n, out in table.items()})
+            if arc.src not in index or arc.dst not in index:
+                raise ValueError(f"arc {arc.src!r} -> {arc.dst!r} ends at a node not listed")
+            if arc.cell_weight < 1:
+                raise ValueError(f"arc {arc.src!r} -> {arc.dst!r} weighs under one cell")
+            out[index[arc.src]].append((index[arc.dst], arc))
+        self._set(spec, nodes, arcs, tuple(map(tuple, out)))
 
 
 class Cycle(Frozen):
@@ -169,136 +186,95 @@ class CycleStructure(Frozen):
         return json.dumps(payload, indent=2)
 
 
-def _successor(spec: CombSpec, state: str, label: str) -> str | None:
-    """State reached by adding one tile at the first empty cell, or None."""
-    window = [] if state == "0" else [ch == "1" for ch in state]
-    if label == SQUARE:
-        offsets = [0]
-    elif label == COMB:
-        offsets = [i * spec.m for i in range(spec.t)]
-    else:
-        raise ValueError(f"unknown tile kind {label!r}")
-    need = offsets[-1] + 1
-    if len(window) < need:
-        window.extend([False] * (need - len(window)))
-    if any(window[off] for off in offsets):
-        return None
-    for off in offsets:
-        window[off] = True
-    if all(window):
-        return "0"
-    first_empty = window.index(False)
-    last_filled = max(i for i, b in enumerate(window) if b)
-    if last_filled < first_empty:
-        return "0"
-    return "".join("1" if b else "0" for b in window[first_empty : last_filled + 1])
-
-
 def build_digraph(spec: CombSpec) -> MetatileDigraph:
-    """Closure of the tile-addition step from the empty state "0"."""
-    seen = {"0"}
-    queue = deque(["0"])
-    raw: list[tuple[str, str, str]] = []
-    while queue:
-        u = queue.popleft()
-        for label in (SQUARE, COMB):
-            v = _successor(spec, u, label)
-            if v is None:
-                continue
-            raw.append((u, v, label))
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    nodes = ["0"] + sorted((n for n in seen if n != "0"), key=lambda s: (len(s), s))
-    index = {n: i for i, n in enumerate(nodes)}
-    arcs = sorted(
-        (
-            Arc(
-                u,
-                v,
-                label,
-                spec.t if label == COMB else 1,
-                1 if label == COMB else 0,
-            )
-            for u, v, label in raw
-        ),
-        key=lambda a: (index[a.src], _LABEL_ORDER[a.label], index[a.dst]),
+    """Closure of the tile-addition step from the empty state 0.
+
+    Nodes are sorted by label length, then label; arcs by source node,
+    S before C.
+    """
+    tiles = (
+        (SQUARE, 1, 1, 0),
+        (COMB, sum(1 << (i * spec.m) for i in range(spec.t)), spec.t, 1),
     )
-    return MetatileDigraph(spec, tuple(nodes), tuple(arcs))
-
-
-def _cycle_sort_key(dg: MetatileDigraph, cycle: Cycle) -> tuple:
-    return (
-        cycle.n_tiles,
-        cycle.label,
-        tuple(dg.node_index[n] for n in cycle.nodes),
+    moves: dict[int, list[tuple[int, str, int, int]]] = {0: []}
+    queue = [0]
+    for state in queue:
+        for label, tile, cell_weight, comb_weight in tiles:
+            if state & tile:
+                continue
+            nxt = state | tile
+            # shift past the trailing ones, to the new first empty cell
+            nxt >>= (~nxt & (nxt + 1)).bit_length() - 1
+            moves[state].append((nxt, label, cell_weight, comb_weight))
+            if nxt not in moves:
+                moves[nxt] = []
+                queue.append(nxt)
+    name = {state: format(state, "b")[::-1] for state in moves}
+    order = sorted(moves, key=lambda s: (len(name[s]), name[s]))
+    arcs = tuple(
+        Arc(name[u], name[v], label, cell_weight, comb_weight)
+        for u in order
+        for v, label, cell_weight, comb_weight in moves[u]
     )
+    return MetatileDigraph(spec, tuple(name[s] for s in order), arcs)
 
 
-def _simple_cycles(dg: MetatileDigraph, budget: _Budget) -> list[Cycle]:
-    """Every simple cycle once, rooted at its smallest-index node."""
-    cycles: list[Cycle] = []
-    index = dg.node_index
-    for si, start in enumerate(dg.nodes):
-        # stack[0] iterates the arcs out of start, stack[i] those out of path[i-1].dst
-        path: list[Arc] = []
-        on_path: set[str] = set()
-        stack = [iter(dg.arcs_from[start])]
-        while stack:
-            arc = next(stack[-1], None)
-            if arc is None:
-                stack.pop()
-                if path:
-                    on_path.remove(path.pop().dst)
-                continue
-            if not budget.spend():
-                raise UnsupportedStructureError(
-                    "cycle enumeration exceeded the step budget"
-                )
-            v = arc.dst
-            if v == start:
-                cycles.append(Cycle(tuple(path) + (arc,)))
-                continue
-            if index[v] < si or v in on_path:
-                continue
-            on_path.add(v)
-            path.append(arc)
-            stack.append(iter(dg.arcs_from[v]))
-    return sorted(cycles, key=lambda c: _cycle_sort_key(dg, c))
+def _simple_paths(
+    dg: MetatileDigraph, src: int, dst: int, budget: _Budget, what: str, floor: int = 0
+) -> list[tuple[tuple[int, ...], tuple[Arc, ...]]]:
+    """All node-simple paths src to dst whose inner nodes are numbered >= floor.
 
-
-def _simple_paths(dg: MetatileDigraph, src: str, dst: str, budget: _Budget) -> list[Cycle]:
-    """All node-simple paths src to dst (src != dst), as arc sequences."""
-    paths: list[Cycle] = []
-    path: list[Arc] = []
-    visited = {src}
-    stack = [iter(dg.arcs_from[src])]
+    Each path is its source node numbers and its arcs; with src == dst the
+    paths are the simple cycles through src. One budget step per arc tried.
+    """
+    paths: list[tuple[tuple[int, ...], tuple[Arc, ...]]] = []
+    nodes = [src]
+    arcs: list[Arc] = []
+    on_path = {src}
+    # stack[i] iterates the arcs out of nodes[i]
+    stack = [iter(dg.out[src])]
     while stack:
-        arc = next(stack[-1], None)
-        if arc is None:
+        step = next(stack[-1], None)
+        if step is None:
             stack.pop()
-            if path:
-                visited.remove(path.pop().dst)
+            if arcs:
+                arcs.pop()
+                on_path.remove(nodes.pop())
             continue
         if not budget.spend():
-            raise UnsupportedStructureError("path enumeration exceeded the step budget")
-        v = arc.dst
+            raise UnsupportedStructureError(f"{what} enumeration exceeded the step budget")
+        v, arc = step
         if v == dst:
-            paths.append(Cycle(tuple(path) + (arc,)))
-            continue
-        if v in visited:
-            continue
-        visited.add(v)
-        path.append(arc)
-        stack.append(iter(dg.arcs_from[v]))
+            paths.append((tuple(nodes), (*arcs, arc)))
+        elif v >= floor and v not in on_path:
+            on_path.add(v)
+            nodes.append(v)
+            arcs.append(arc)
+            stack.append(iter(dg.out[v]))
     return paths
 
 
-def _find_cycle(succ: dict[str, list[str]], skip: str | None = None) -> list[str] | None:
+def _sorted_cycles(paths: list[tuple[tuple[int, ...], tuple[Arc, ...]]]) -> list[Cycle]:
+    """Cycles of the paths, by tile count, then label, then node numbers."""
+    paths.sort(key=lambda p: (len(p[1]), "".join(arc.label for arc in p[1]), p[0]))
+    return [Cycle(arcs) for _, arcs in paths]
+
+
+def _simple_cycles(dg: MetatileDigraph, budget: _Budget) -> list[Cycle]:
+    """Every simple cycle once, rooted at its smallest-numbered node."""
+    return _sorted_cycles([
+        path
+        for start in range(len(dg.nodes))
+        for path in _simple_paths(dg, start, start, budget, "cycle", floor=start)
+    ])
+
+
+def _find_cycle(succ: list[list[int]], skip: int | None = None) -> list[int] | None:
     """Nodes of one cycle of succ that avoids node skip, or None if there is none."""
-    state: dict[str, bool] = {}  # True while on the DFS path, False once finished
-    for root in succ:
-        if root == skip or root in state:
+    # True while on the DFS path, False once finished, None before
+    state: list[bool | None] = [None] * len(succ)
+    for root in range(len(succ)):
+        if root == skip or state[root] is not None:
             continue
         # stack[i] iterates the successors of path[i]
         path = [root]
@@ -311,7 +287,7 @@ def _find_cycle(succ: dict[str, list[str]], skip: str | None = None) -> list[str
                 state[path.pop()] = False
             elif v == skip:
                 continue
-            elif v not in state:
+            elif state[v] is None:
                 state[v] = True
                 path.append(v)
                 stack.append(iter(succ[v]))
@@ -320,7 +296,7 @@ def _find_cycle(succ: dict[str, list[str]], skip: str | None = None) -> list[str
     return None
 
 
-def _on_every_cycle(succ: dict[str, list[str]], cycle: list[str]) -> bool:
+def _on_every_cycle(succ: list[list[int]], cycle: list[int]) -> bool:
     """Whether some node of cycle lies on every cycle of succ.
 
     Such a node lies on every cycle found, so each cycle that avoids a
@@ -344,15 +320,13 @@ def _anchor_exists(dg: MetatileDigraph) -> bool:
     instead of by listing every cycle: a node lies on every cycle exactly
     when removing it leaves no cycle.
     """
-    succ = {
-        node: [arc.dst for arc in dg.arcs_from[node] if arc.dst != "0"]
-        for node in dg.nodes
-        if node != "0"
-    }
+    # node 0 keeps no arcs, so it lies on no cycle of succ
+    succ = [[v for v, _ in out if v] for out in dg.out]
+    succ[0] = []
     cycle = _find_cycle(succ)
     if cycle is None or _on_every_cycle(succ, cycle):
         return True
-    for e, dsts in succ.items():
+    for e, dsts in enumerate(succ):
         if e not in dsts:
             continue
         # set one self-loop at e aside, as an errant loop; no node found
@@ -372,10 +346,11 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
     """Classify the digraph's cycles around a common or pseudo-common node.
 
     Inner cycles avoid "0". If some node lies on all of them it is the
-    common node (ties broken by smallest state string). Failing that, each
-    self-loop off "0" is tried as an errant loop: removing it must leave a
-    nonempty set of inner cycles sharing a node other than the loop's own.
-    Outer cycles and circuits are then computed relative to the chosen node.
+    common node (ties broken by smallest label, not by node number).
+    Failing that, each self-loop off "0" is tried as an errant loop:
+    removing it must leave a nonempty set of inner cycles sharing a node
+    other than the loop's own. Outer cycles and circuits are then computed
+    relative to the chosen node.
 
     Raises UnsupportedStructureError when no classification fits, which is
     decided before any cycle is enumerated, or when enumerating the cycles
@@ -421,16 +396,14 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
         return cycle.replace(plain=not cycle.visits(e_node))
 
     outer = [finish(c) for c in zero_cycles if not c.visits(anchor)]
-    circuits = []
-    seen_arcseqs = set()
-    for head in _simple_paths(dg, "0", anchor, budget):
-        for tail in _simple_paths(dg, anchor, "0", budget):
-            arcs = head.arcs + tail.arcs
-            if arcs in seen_arcseqs:
-                continue
-            seen_arcseqs.add(arcs)
-            circuits.append(finish(Cycle(arcs)))
-    circuits.sort(key=lambda c: _cycle_sort_key(dg, c))
+    a = dg.nodes.index(anchor)
+    joined = [
+        (head_nodes + tail_nodes, head + tail)
+        for head_nodes, head in _simple_paths(dg, 0, a, budget, "path")
+        # the tails are listed again for every head, and each listing spends budget
+        for tail_nodes, tail in _simple_paths(dg, a, 0, budget, "path")
+    ]
+    circuits = [finish(c) for c in _sorted_cycles(joined)]
     return CycleStructure(
         dg,
         tuple(finish(c) for c in kept),
@@ -450,10 +423,10 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
     out: list[str] = []
     labels: list[str] = []
     # stack[i] iterates the arcs out of the node reached by labels[:i]
-    stack = [iter(dg.arcs_from["0"])]
+    stack = [iter(dg.out[0])]
     while stack:
-        arc = next(stack[-1], None)
-        if arc is None:
+        step = next(stack[-1], None)
+        if step is None:
             stack.pop()
             if labels:
                 labels.pop()
@@ -462,11 +435,12 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
             raise ValueError(
                 "metatile enumeration exceeded the step budget; lower max_tiles"
             )
-        if arc.dst == "0":
+        v, arc = step
+        if v == 0:
             out.append("".join(labels) + arc.label)
         elif len(labels) + 1 < max_tiles:
             labels.append(arc.label)
-            stack.append(iter(dg.arcs_from[arc.dst]))
+            stack.append(iter(dg.out[v]))
     return sorted(out, key=lambda s: (len(s), s))
 
 

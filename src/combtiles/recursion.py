@@ -11,7 +11,6 @@ numbers with no structure hypothesis at all, which is the cross-check.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from enum import Enum
 
 from .core import CombSpec, Frozen, Triangle, TriangleKind
@@ -208,46 +207,71 @@ def evaluate(rel: RecursionRelation, n_max: int) -> Triangle | tuple[int, ...]:
     return tuple(seq)
 
 
+def _walks_home(dg: MetatileDigraph, metric: Metric, n_max: int, shift: int) -> list[int]:
+    """W_n for n = 0..n_max: the walks 0 to 0 of weight n, each counted as 2^(shift*k).
+
+    k is the walk's comb count. The dynamic program runs over node numbers
+    and keeps only the layers a step from layer n can still reach, those of
+    weight n + 1 .. n + (largest arc weight).
+    """
+    cells = metric is Metric.CELLS
+    steps = [
+        [(v, arc.cell_weight if cells else 1, shift * arc.comb_weight) for v, arc in out]
+        for out in dg.out
+    ]
+    heaviest = max((w for out in steps for _, w, _ in out), default=1)
+    # at the top of step n, ahead[j] holds the walks of weight n + j
+    ahead = [[0] * len(steps) for _ in range(heaviest)]
+    ahead[0][0] = 1
+    home: list[int] = []
+    for _ in range(n_max + 1):
+        layer = ahead.pop(0)
+        ahead.append([0] * len(steps))
+        home.append(layer[0])
+        for count, out in zip(layer, steps):
+            if count:
+                for v, w, s in out:
+                    ahead[w - 1][v] += count << s
+    return home
+
+
 def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
     """Count weighted walks 0 to 0 directly on the digraph, no synthesis.
 
     Arc weight is 1 tile or the arc's cell count; walks may pass through 0
     (a full tiling is a chain of metatiles). Works on any digraph, including
     ones whose cycle structure the synthesizer refuses.
+
+    Row n is read off one integer (Kronecker substitution): every C-arc
+    multiplies a count by 2^w, so W_n of ``_walks_home`` holds entry (n, k)
+    in bits w*k .. w*k + w - 1. No slot carries into the next. Let no node
+    have more than d out-arcs (d = 2 in a built digraph). With every arc
+    weight >= 1, a walk of weight n >= 1 is one of at most d first arcs and
+    then a walk of weight < n, so by induction on n at most d^n walks of
+    weight n start at any one node. Slot k of the count at any node and
+    weight n <= n_max counts some of the walks from 0, so it stays below
+    2^w once w is the bit length of d^n_max, here rounded up to whole bytes.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    layers: list[dict[tuple[str, int], int]] = [
-        defaultdict(int) for _ in range(n_max + 1)
-    ]
-    layers[0][("0", 0)] = 1
-    for n in range(n_max + 1):
-        for (node, k), count in layers[n].items():
-            for arc in dg.arcs_from[node]:
-                weight = arc.cell_weight if metric is Metric.CELLS else 1
-                if n + weight <= n_max:
-                    layers[n + weight][(arc.dst, k + arc.comb_weight)] += count
-    rows = [
-        [layers[n].get(("0", k), 0) for k in range(n + 1)] for n in range(n_max + 1)
-    ]
+    degree = max(1, max(map(len, dg.out)))
+    width = -(-(degree**n_max).bit_length() // 8)
+    rows = []
+    for n, packed in enumerate(_walks_home(dg, metric, n_max, 8 * width)):
+        raw = packed.to_bytes(width * (n + 1), "little")
+        rows.append([
+            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+        ])
     kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
     return Triangle.from_rows(dg.spec, kind, rows)
 
 
 def walk_sums(dg: MetatileDigraph, metric: Metric, n_max: int) -> tuple[int, ...]:
-    """Row sums of :func:`walk_count`, from walks counted by node alone.
+    """Row sums of :func:`walk_count`: the same walks with no comb slots.
 
     No arc depends on the comb count k, so summing over it up front saves
-    the factor of n that the (node, k) states of the triangle cost.
+    the factor of n that the packed slots of the triangle cost.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    layers: list[dict[str, int]] = [defaultdict(int) for _ in range(n_max + 1)]
-    layers[0]["0"] = 1
-    for n in range(n_max + 1):
-        for node, count in layers[n].items():
-            for arc in dg.arcs_from[node]:
-                weight = arc.cell_weight if metric is Metric.CELLS else 1
-                if n + weight <= n_max:
-                    layers[n + weight][arc.dst] += count
-    return tuple(layer.get("0", 0) for layer in layers)
+    return tuple(_walks_home(dg, metric, n_max, 0))

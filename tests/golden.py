@@ -187,3 +187,143 @@ DOT_2_3 = """digraph metatiles {
   "0101" -> "0" [label="C"];
 }
 """
+
+# SHA-256 digests of the m, t <= 6 digraphs, frozen from the string-state
+# implementation: per family (export_dot, "digraph --format text" run as
+# f"{exit code}\n{stdout}{stderr}"), and CycleStructure.to_json for the
+# families whose structure classifies
+DIGRAPH_DIGESTS = {
+    (1, 2): (
+        "f938bb5d173e6acc3e4d3fb39f3d116b1f8d94dddb69d272df7b5c892d9ceb96",
+        "36f42f4afedd13b5d1af03b971a113cf1175f9aa9bd8a2b9a0d691593d1f93eb",
+    ),
+    (1, 3): (
+        "f938bb5d173e6acc3e4d3fb39f3d116b1f8d94dddb69d272df7b5c892d9ceb96",
+        "36f42f4afedd13b5d1af03b971a113cf1175f9aa9bd8a2b9a0d691593d1f93eb",
+    ),
+    (1, 4): (
+        "f938bb5d173e6acc3e4d3fb39f3d116b1f8d94dddb69d272df7b5c892d9ceb96",
+        "36f42f4afedd13b5d1af03b971a113cf1175f9aa9bd8a2b9a0d691593d1f93eb",
+    ),
+    (1, 5): (
+        "f938bb5d173e6acc3e4d3fb39f3d116b1f8d94dddb69d272df7b5c892d9ceb96",
+        "36f42f4afedd13b5d1af03b971a113cf1175f9aa9bd8a2b9a0d691593d1f93eb",
+    ),
+    (1, 6): (
+        "f938bb5d173e6acc3e4d3fb39f3d116b1f8d94dddb69d272df7b5c892d9ceb96",
+        "36f42f4afedd13b5d1af03b971a113cf1175f9aa9bd8a2b9a0d691593d1f93eb",
+    ),
+    (2, 2): (
+        "2489a16542ab97999da17e954edd67befcc16dd2f4c28e66d9cfe61b5d16a696",
+        "2d597e3b48378231fad40bfefda792f0373f0369436164dbf5a236bfe9594a2b",
+    ),
+    (2, 3): (
+        "16abb7a9312e5d3d9c0362cb5de36b022723f85e618adc62ed459b353052a08d",
+        "272f0e359f25c9086161571f5fd7c9596b79244df04be280cee252bbf0b77d9a",
+    ),
+    (2, 4): (
+        "88bcce2db4d04d48b3ace2b920de34dd52a2773117bd0343f665ccc00f067950",
+        "52a2b5cb79ffa27407e9348b7659cccfa655ae21fbc9732d539dbe0399c457d0",
+    ),
+    (2, 5): (
+        "2433598a78d9a537a1feb6bc906f98024108f1e87fa8b03774b45d25e86ae584",
+        "ee27bd37cde69331e8bb3d4f21a70e050f6836bc14db92ed910795ec25aa6bae",
+    ),
+    (2, 6): (
+        "de34248311db55016b66ac1a0703b89c79a43cd85b45f6d0b6f8464f766bf85b",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (3, 2): (
+        "de43a7999415de87eb9ef370fa0d102057f0f3709da81b3332db3208478c3423",
+        "c294d3b39b9a64f2e0e14e5ec0eaeaa06b293345216451251b255683f8673a08",
+    ),
+    (3, 3): (
+        "d59553724d325cf1301e946e8a4be664b37cffc455ad37026a949578221aa239",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (3, 4): (
+        "cc42a67d21829e49d085e332737b67f4ea1c34299c6303cc83dc990f1c40fc12",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (3, 5): (
+        "edaff918d76888e7bc36d0908c2d164945b981f2064dfdadc9081b46a2671354",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (3, 6): (
+        "7bd8a92cd9c5aa27f4ed7c52c0c4e32c3699411f2891c8b06556ad1a985555b2",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (4, 2): (
+        "91bcc9f6462bd8e1044e0b4aac0a80ff84b7837f323a2c11903fae18ebc8dceb",
+        "c17bbda8c7130ac6078468caf54244e198d0fe3f058f876734dbd48c8a1c0cca",
+    ),
+    (4, 3): (
+        "fba35a99ee7a3850b711168818ccdc63ecf0a3bc8b64f5630aaaef9bfc174b94",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (4, 4): (
+        "75af7aa883a60de2f007222057843bfa74090b9249220344dceae30e794922d1",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (4, 5): (
+        "789208bde97f9948579e8523348b947512c60063411bf8d86f95d52c21a73575",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (4, 6): (
+        "caa4ea99953db7b4adb9a46fb5031059bb02eb132377b639d24f818065781412",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (5, 2): (
+        "0cccb85fa9d20a866f4f0b2ea8a1f61447939038ebab986ac9ef168fdf74ee61",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (5, 3): (
+        "ff4697af5cbf32d81de8cf3eaaf5847f04a0c8c0f2618e620ffd56a6b0ab0c5b",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (5, 4): (
+        "9c49e75956b7dd5e7e6d91c9a7bb2a35a30ce0ca212c6d35bdeb3b65fb295239",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (5, 5): (
+        "888cb9ae9c81861f904c095fa82857231c2efd1aa46cc75060abcdc306d22d23",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (5, 6): (
+        "37dd26996cec577ed24bc973743bf0aa8acf7f5bdb92984636cb76ad5e78fc17",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (6, 2): (
+        "21a28b4410df9ac57c91ca67d6c3a8bb32dbe2e7069fbaecc80ddc16afda3e1d",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (6, 3): (
+        "d7df785fad0f0edc1eb075d9497b01af7ffa8be45223dd5c3fdb3aafb8f69328",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (6, 4): (
+        "fe7e70772b3e4e59d7ecfca09db81a45ff1eca933909a4bf696e342d19bee1b8",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (6, 5): (
+        "0d36e77ed657d37be32622ce878c6b5d87560cc22e7823bc86f006239d0d873d",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+    (6, 6): (
+        "271be82a6272d92ba4e8b232c6ddcc6ba6551ef264922f50cbc747f821fe81e7",
+        "d6f5b3283f0de63f4605989dc7d3156d28c9d3ab030e57b8b2760b0e20d4ebd4",
+    ),
+}
+STRUCTURE_DIGESTS = {
+    (1, 2): "83cfad8c4ae220cc4ba41e2734f30ccc502ebcd0bdabd2a7ed6edd67025fee4e",
+    (1, 3): "2dda80c5e0bebb4302c70ea1e42c2f15e3b899a4393a2a2de0ffaf6a0be67442",
+    (1, 4): "96cde36a145bfb3fb0cd88b5a33d74bb12dd496a2417d7dbde6f709303be3313",
+    (1, 5): "29632d9b756bd4e9375ecfd2272d15335d464dba915de35131d4065ea519e0a6",
+    (1, 6): "6b6365c0c847f5c4c70d4aa1f768308335acde3879a5f424d6052dd837c3d1a2",
+    (2, 2): "88796791b6b1d86b74d54bd65e6e3b015e589c6ecb41da4315606316542cf637",
+    (2, 3): "05c59727c006c5678b2698b1a76a101afd41b2b192becd5e2edc2eb91fcabc3a",
+    (2, 4): "0ae43af9deabc9689dec2de25b768b38b182700a3d5ddbb05d7cf4d41c358988",
+    (2, 5): "4af058c7a5977d70f72d93889b9d89f71cbd979ac9e9aa896de1e942d570178c",
+    (3, 2): "9fafc8b12cb4be068c485cc4d183a449a7584fcbff2af10c3df4f6a6577b8df8",
+    (4, 2): "b562f92049685b89c0dc387f4aeec044d946893d2aefa3be882ff28f76287e31",
+}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -14,11 +15,18 @@ from hypothesis import strategies as st
 from combtiles import engines, oracle
 from combtiles.cli import _build_parser, main
 from combtiles.core import CombSpec, TriangleKind
-from combtiles.digraph import build_digraph
+from combtiles.digraph import analyze_structure, build_digraph, export_dot
 from combtiles.polynomials import entry_via_poly
 from combtiles.recursion import Metric
 
-from golden import CELL_SUMS, DOT_2_3, TILE_SUMS, TRIANGLES
+from golden import (
+    CELL_SUMS,
+    DIGRAPH_DIGESTS,
+    DOT_2_3,
+    STRUCTURE_DIGESTS,
+    TILE_SUMS,
+    TRIANGLES,
+)
 
 
 @pytest.fixture()
@@ -108,6 +116,26 @@ def test_poly_engine_with_wide_slots():
         for k in range(n + 1):
             j, r = divmod(n + 5 * k, 6)
             assert tri.entry(n, k) == entry_via_poly(spec, j, r, k), (n, k)
+
+
+def test_walk_engine_with_wide_slots():
+    # every table has entries past 2^64, so comb slots too narrow for them
+    # would carry into the next slot
+    cases = [
+        ((3, 3), 150, list(TriangleKind)),
+        ((6, 6), 80, [TriangleKind.TILE]),
+        ((2, 3), 200, [TriangleKind.BOARD]),
+    ]
+    for (m, t), rows, kinds in cases:
+        spec = CombSpec(m, t)
+        for kind in kinds:
+            walk = engines.triangle(spec, kind, rows, "walk")
+            assert max(max(row) for row in walk.rows) >> 64, (m, t, kind)
+            assert walk == engines.triangle(spec, kind, rows, "poly"), (m, t, kind)
+        for metric in Metric:
+            assert engines.sums(spec, metric, rows, "walk") == engines.sums(
+                spec, metric, rows, "poly"
+            ), (m, t, metric)
 
 
 def test_poly_engine_edge_sizes():
@@ -333,6 +361,20 @@ def test_digraph_text_and_json(run):
     code, out, _ = run("digraph", "--m", "2", "--t", "5", "--format", "json")
     payload = json.loads(out)
     assert payload["kind"] == "pseudo" and payload["pseudo_common"] == "01"
+
+
+def test_digraphs_match_pinned_digests(run):
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert len(DIGRAPH_DIGESTS) == 30 and len(STRUCTURE_DIGESTS) == 11
+    for (m, t), (dot, text) in DIGRAPH_DIGESTS.items():
+        dg = build_digraph(CombSpec(m, t))
+        assert sha(export_dot(dg)) == dot, (m, t)
+        code, out, err = run("digraph", "--m", str(m), "--t", str(t), "--format", "text")
+        assert sha(f"{code}\n{out}{err}") == text, (m, t)
+        if (m, t) in STRUCTURE_DIGESTS:
+            assert sha(analyze_structure(dg).to_json()) == STRUCTURE_DIGESTS[(m, t)], (m, t)
 
 
 def test_digraph_refusal_exit_code(run):

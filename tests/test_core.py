@@ -183,8 +183,13 @@ def test_value_repr_replace_and_cache_keys():
 
     assert cached(CombSpec(2, 3)) + cached(CombSpec(2, 3)) == 4 and calls == [spec]
     dg = build_digraph(spec)
-    # the lookup tables are built once and take no part in equality or repr
-    assert dg.arcs_from["0"] == tuple(a for a in dg.arcs if a.src == "0")
-    assert dg.node_index == {node: i for i, node in enumerate(dg.nodes)}
+    # the index table is built once, lists dg.arcs by source node number,
+    # and takes no part in equality or repr
+    assert [arc for out in dg.out for _, arc in out] == list(dg.arcs)
+    assert all(
+        (dg.nodes[u], dg.nodes[v]) == (arc.src, arc.dst)
+        for u, out in enumerate(dg.out)
+        for v, arc in out
+    )
     assert repr(dg).startswith("MetatileDigraph(spec=CombSpec(m=2, t=3), nodes=(")
-    assert "node_index" not in repr(dg) and dg == MetatileDigraph(spec, dg.nodes, dg.arcs)
+    assert "out=" not in repr(dg) and dg == MetatileDigraph(spec, dg.nodes, dg.arcs)

@@ -61,6 +61,23 @@ def test_digraph_2_4():
     ]
 
 
+def test_digraph_rejects_malformed_input():
+    spec = CombSpec(2, 3)
+    loop = Arc("0", "0", "S", 1, 0)
+    # walks are counted from node number 0, which must be the empty state
+    for nodes in [("a", "0"), ()]:
+        with pytest.raises(ValueError, match="first node"):
+            MetatileDigraph(spec, nodes, (loop,) if nodes else ())
+    with pytest.raises(ValueError, match="duplicate node"):
+        MetatileDigraph(spec, ("0", "01", "01"), (loop,))
+    for arc in [Arc("0", "x", "C", 3, 1), Arc("y", "0", "S", 1, 0)]:
+        with pytest.raises(ValueError, match="not listed"):
+            MetatileDigraph(spec, ("0", "01"), (loop, arc))
+    # the walk counters rely on every arc weighing at least one cell
+    with pytest.raises(ValueError, match="under one cell"):
+        MetatileDigraph(spec, ("0",), (Arc("0", "0", "S", 0, 0),))
+
+
 def test_structure_2_3_common():
     st = analyze_structure(build_digraph(CombSpec(2, 3)))
     assert st.kind == "common"
