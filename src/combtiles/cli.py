@@ -59,7 +59,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     elif args.format == "json":
         _emit(tri.to_json() + "\n")
     else:
-        lines = [" ".join(str(v) for v in row) for row in tri.rows]
+        lines = [" ".join(map(str, row)) for row in tri.rows]
         _emit("\n".join(lines) + "\n")
     return 0
 
@@ -70,11 +70,11 @@ def _cmd_sums(args: argparse.Namespace) -> int:
     if args.format == "bfile":
         _emit("".join(f"{i} {v}\n" for i, v in enumerate(seq)))
     elif args.format == "csv":
-        _emit(",".join(str(v) for v in seq) + "\n")
+        _emit(",".join(map(str, seq)) + "\n")
     elif args.format == "json":
         _emit(json.dumps(seq) + "\n")
     else:
-        _emit(" ".join(str(v) for v in seq) + "\n")
+        _emit(" ".join(map(str, seq)) + "\n")
     return 0
 
 

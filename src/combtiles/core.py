@@ -142,14 +142,14 @@ class Triangle(Frozen):
     def __init__(
         self, spec: CombSpec, kind: TriangleKind, rows: Iterable[Sequence[int]] = ()
     ) -> None:
-        # from lists, not generators: a tuple filled from a generator is reallocated
+        # from lists, not iterators: a tuple filled from an iterator is reallocated
         # as it grows, which over many requests fragments a long-lived process's heap
-        frozen = tuple([tuple([int(e) for e in row]) for row in rows])
+        frozen = tuple([tuple([*map(int, row)]) for row in rows])
         self._set(spec, kind, frozen)
         for n, row in enumerate(frozen):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
-            if any(e < 0 for e in row):
+            if min(row) < 0:
                 raise ValueError(f"row {n} contains a negative entry")
         if frozen and frozen[0] != (1,):
             raise ValueError("entry (0,0) must be 1")
@@ -171,7 +171,7 @@ class Triangle(Frozen):
 
     def to_csv(self) -> str:
         """One row per line, entries comma-separated."""
-        return "\n".join(",".join(str(e) for e in row) for row in self.rows) + "\n"
+        return "\n".join([",".join(map(str, row)) for row in self.rows]) + "\n"
 
     def to_json(self) -> str:
         """JSON object with entries rendered as decimal strings."""
@@ -179,7 +179,7 @@ class Triangle(Frozen):
             "m": self.spec.m,
             "t": self.spec.t,
             "kind": self.kind.value,
-            "rows": [[str(e) for e in row] for row in self.rows],
+            "rows": [list(map(str, row)) for row in self.rows],
         }
         return json.dumps(obj)
 

@@ -6,12 +6,10 @@ when the structure classifies and falls back to walk counting otherwise.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from . import oracle
 from .core import CombSpec, Triangle, TriangleKind
 from .digraph import UnsupportedStructureError, analyze_structure, build_digraph
-from .polynomials import board_counts, board_products
+from .polynomials import board_counts, board_products, tile_rows
 from .recursion import (
     Metric,
     evaluate,
@@ -28,28 +26,14 @@ def _metric_for_kind(kind: TriangleKind) -> Metric:
     return Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
 
 
-def _poly_tile_cells(spec: CombSpec, rows: int) -> Iterator[tuple[int, int, int]]:
-    """(n, k, entry) of the tile triangle's rows n < rows, one product per board.
-
-    Cell (b - (t-1)k, k) is [x^k] P_b; deg P_b <= b/t keeps every cell in k <= n.
-    """
-    shift = spec.t - 1
-    for b, (k0, coeffs) in enumerate(board_products(spec, spec.t * (rows - 1), rows)):
-        for k, c in enumerate(coeffs, k0):
-            yield b - shift * k, k, c
-
-
 def _poly_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
-    if kind is TriangleKind.BOARD:
-        # b < rows: every degree is unpacked (k0 = 0), and deg P_b <= b
-        table = [
-            coeffs + [0] * (n + 1 - len(coeffs))
-            for n, (_, coeffs) in enumerate(board_products(spec, rows - 1, rows))
-        ]
-    else:
-        table = [[0] * (n + 1) for n in range(rows)]
-        for n, k, c in _poly_tile_cells(spec, rows):
-            table[n][k] = c
+    if kind is TriangleKind.TILE:
+        return Triangle.from_rows(spec, kind, tile_rows(spec, rows))
+    # b < rows: deg P_b <= b, so each board's coefficients pad out to its row
+    table = [
+        coeffs + [0] * (n + 1 - len(coeffs))
+        for n, coeffs in enumerate(board_products(spec, rows - 1))
+    ]
     return Triangle.from_rows(spec, kind, table)
 
 
@@ -97,10 +81,7 @@ def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]
     if method == "poly":
         if metric is Metric.CELLS:
             return board_counts(spec, n_terms)
-        out = [0] * n_terms
-        for n, _, c in _poly_tile_cells(spec, n_terms):
-            out[n] += c
-        return out
+        return [sum(row) for row in tile_rows(spec, n_terms)]
     dg = build_digraph(spec)
     if method != "walk":
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from collections.abc import Iterator, Sequence
-from itertools import islice
+from itertools import count, islice
 
 from .core import CombSpec, Frozen
 
@@ -145,24 +145,59 @@ def _bonacci_values(t: int, shift: int) -> Iterator[int]:
         yield window[-1]
 
 
-def board_products(
-    spec: CombSpec, max_board: int, rows: int
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield (k0, [c_k0, ..., c_d]) with c_k = [x^k] P_b for boards b = 0..max_board.
+def _reversed_values(t: int, shift: int, mask: int) -> Iterator[int]:
+    """F~_n = f~_n(2^shift) & mask for n = 0, 1, 2, ..., where f~_n(y) = y^(n//t) f_n(1/y).
+
+    Multiplying f_n = f_{n-1} + x*f_{n-t} by y^(n//t) at x = 1/y gives
+    f~_n = y^e * f~_{n-1} + f~_{n-t}, with e = 1 if t divides n and 0
+    otherwise: the degree n//t rises by one exactly there, and
+    (n-t)//t = n//t - 1. So f~_n lists the coefficients of f_n top first.
+    """
+    window: deque[int] = deque([0] * (t - 1) + [1], maxlen=t)
+    yield 1
+    for n in count(1):
+        window.append(((window[-1] << shift if n % t == 0 else window[-1]) + window[0]) & mask)
+        yield window[-1]
+
+
+def _factor_pairs(
+    m: int, family: Iterator[int], max_board: int, mask: int
+) -> Iterator[tuple[int, int]]:
+    """(F_j^(m-r) & mask, F_{j+1}^r & mask) for boards b = m*j + r = 0..max_board.
+
+    ``family`` yields F_0, F_1, ...; the product of a pair is P_b at the
+    family's point. Only the powers F_j^e and F_{j+1}^e (e <= m) are kept,
+    and the powers of a new F_{j+1} are built only as far as a board up to
+    max_board uses them, so the last board builds none it does not use.
+    """
+
+    def powers(f: int, top: int) -> list[int]:
+        out = [1, f]
+        for _ in range(top - 1):
+            out.append(out[-1] * f & mask)
+        return out
+
+    high = powers(next(family), m)
+    for b in range(max_board + 1):
+        r = b % m
+        if r == 0:
+            low = high
+            if b < max_board:
+                high = powers(next(family), min(m, max_board - b))
+        yield low[m - r], high[r]
+
+
+def board_products(spec: CombSpec, max_board: int) -> Iterator[list[int]]:
+    """Yield [c_0, ..., c_d] with c_k = [x^k] P_b for boards b = 0..max_board.
 
     P_b = f_j^(m-r) * f_{j+1}^r for b = m*j + r, of degree d, and [x^k] P_b
-    counts tilings of a b-board with k combs. Degrees below
-    k0 = max(0, ceil((b - rows + 1) / (t - 1))) are skipped: their tile cell
-    (b - (t-1)*k, k) lies in row rows or later. No degree is skipped for
-    b < rows.
+    counts tilings of a b-board with k combs.
 
     Each P_b is computed as one integer, P_b(2^w), by Kronecker
     substitution: the family runs as F_n = F_{n-1} + (F_{n-t} << w), so
-    F_n = f_n(2^w); only the powers F_j^e and F_{j+1}^e (e <= m) are kept,
-    so each P_b costs one big-integer product, plus the m - 1 that build the
-    powers of each new F_{j+1} when a later board needs them. The
-    coefficients are then read off as w-bit slots of P_b(2^w), one
-    ``to_bytes`` call per board.
+    F_n = f_n(2^w), and each P_b costs one big-integer product of two kept
+    powers (``_factor_pairs``). The coefficients are then read off as w-bit
+    slots of P_b(2^w), one ``to_bytes`` call per board.
 
     The slots never carry into each other. The width w is the bit length
     of P_max_board(1), rounded up to whole bytes. Every coefficient of P_b
@@ -172,33 +207,75 @@ def board_products(
     Hence every coefficient is <= P_b(1) <= P_max_board(1) < 2^w, and the
     base-2^w digits of P_b(2^w) are exactly the coefficients of P_b.
     """
-    m, t = spec.m, spec.t
-    top = antidiagonal_sum_closed(spec, *divmod(max_board, m))
+    top = antidiagonal_sum_closed(spec, *divmod(max_board, spec.m))
     width = -(-top.bit_length() // 8)
-    family = _bonacci_values(t, 8 * width)
-
-    def powers(f: int) -> list[int]:
-        out = [1, f]
-        for _ in range(m - 1):
-            out.append(out[-1] * f)
-        return out
-
-    high = powers(next(family))
-    for b in range(max_board + 1):
-        r = b % m
-        if r == 0:
-            low = high
-            if b < max_board:
-                high = powers(next(family))
-            packed = low[m]
-        else:
-            packed = low[m - r] * high[r]
+    family = _bonacci_values(spec.t, 8 * width)
+    # a mask of -1 keeps every bit: all of each product is read
+    for low, high in _factor_pairs(spec.m, family, max_board, -1):
+        packed = low * high
         raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
-        k0 = max(0, -((rows - 1 - b) // (t - 1)))
-        yield k0, [
-            int.from_bytes(raw[i : i + width], "little")
-            for i in range(k0 * width, len(raw), width)
-        ]
+        yield [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def tile_rows(spec: CombSpec, rows: int) -> list[list[int]]:
+    """Rows 0..rows-1 of the tile triangle, from the top band of each board product.
+
+    Entry (n, k) is [x^k] P_b for the board b = n + (t-1)k. Board b holds
+    cells of rows below R = rows only in the degrees k0..d. Here
+    d = (m-r)(j//t) + r((j+1)//t) is the degree of P_b (f_n has degree n//t
+    and leading coefficient 1), and k0 = max(0, ceil((b - R + 1) / (t - 1))).
+    Boards with d < k0 hold none and are skipped. The boards run to
+    b = t(R-1), the board of entry (R-1, R-1).
+
+    The band is read from the reversed product P~_b(y) = y^d P_b(1/y) =
+    f~_j^(m-r) * f~_{j+1}^r (``_reversed_values``), whose degree-i
+    coefficient is [x^(d-i)] P_b: degrees k0..d of P_b are the lowest
+    L_b = d - k0 + 1 coefficients of P~_b. They are read as w-bit slots of
+    P~_b(2^w) mod 2^(L_b*w). Every family value and power is kept
+    mod 2^(B*w), B the largest L_b, and the two factors of each product
+    mod 2^(L_b*w). That is exact, for these reasons:
+
+    - Every needed entry has n < R, and T(n,k) <= C(n,k) <= 2^n < 2^R <= 2^w:
+      a tiling is fixed by its sequence of n tile types, k of them combs
+      (each tile covers the leftmost cell still empty). So w = R bits,
+      rounded up to whole bytes, holds every needed slot.
+    - Reduction mod 2^L commutes with sums, products and shifts, so the
+      truncated family, powers and factors give P~_b(2^w) mod 2^(L_b*w) as
+      an exact integer identity.
+    - P~_b(2^w) = sum_i c_i 2^(i*w) with every c_i >= 0. Carries only move
+      up: the terms with i >= L_b are multiples of 2^(L_b*w), and the terms
+      with i < L_b sum to less than 2^(L_b*w) since each c_i < 2^w. So the
+      low L_b slots are exactly c_0..c_(L_b - 1).
+    - So slots above the band, in the products and in every intermediate
+      value, may overflow without harm: only the final product's low L_b
+      slots must stay below 2^w.
+    """
+    m, t = spec.m, spec.t
+    shift = t - 1
+    boards = range(t * (rows - 1) + 1)
+    degree = [(m - r) * (j // t) + r * ((j + 1) // t) for j, r in (divmod(b, m) for b in boards)]
+    first = [0] * rows + [(b - rows) // shift + 1 for b in boards[rows:]]
+    last = max(b for b in boards if degree[b] >= first[b])
+    width = -(-rows // 8)
+    # masks[L] keeps the lowest L slots; the last one the widest band, B slots
+    masks = [(1 << 8 * width * L) - 1 for L in range(max(map(int.__sub__, degree, first)) + 2)]
+    family = _reversed_values(t, 8 * width, masks[-1])
+    table = [[0] * (n + 1) for n in range(rows)]
+    from_bytes = int.from_bytes
+    for b, (low, high) in enumerate(_factor_pairs(m, family, last, masks[-1])):
+        d, k0 = degree[b], first[b]
+        if d < k0:
+            continue
+        band = masks[d - k0 + 1]
+        size = width * (d - k0 + 1)
+        raw = ((low & band) * (high & band) & band).to_bytes(size, "little")
+        # slot i is degree k = d - i, in row n = b - (t-1)k
+        k, n = d, b - shift * d
+        for i in range(0, size, width):
+            table[n][k] = from_bytes(raw[i : i + width], "little")
+            n += shift
+            k -= 1
+    return table
 
 
 def board_counts(spec: CombSpec, n: int) -> list[int]:

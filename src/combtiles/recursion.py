@@ -244,18 +244,39 @@ def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
 
     Row n is read off one integer (Kronecker substitution): every C-arc
     multiplies a count by 2^w, so W_n of ``_walks_home`` holds entry (n, k)
-    in bits w*k .. w*k + w - 1. No slot carries into the next. Let no node
-    have more than d out-arcs (d = 2 in a built digraph). With every arc
-    weight >= 1, a walk of weight n >= 1 is one of at most d first arcs and
-    then a walk of weight < n, so by induction on n at most d^n walks of
-    weight n start at any one node. Slot k of the count at any node and
-    weight n <= n_max counts some of the walks from 0, so it stays below
-    2^w once w is the bit length of d^n_max, here rounded up to whole bytes.
+    in bits w*k .. w*k + w - 1. No slot carries into the next:
+
+    - Let a_w be the most out-arcs of weight w at any one node. Set c_0 = 1
+      and c_n = sum over w <= n of a_w c_(n-w). Every arc weight is >= 1,
+      so a walk of weight n >= 1 from a node is one of at most a_w first
+      arcs of some weight w <= n, then a walk of weight n - w < n from its
+      head. By induction on n, at most c_n walks of weight n start at any
+      one node.
+    - On tiles every arc weighs 1, so c_n = d^n with d the most out-arcs
+      at a node (2 in a built digraph): the plain out-degree bound. On
+      cells a C-arc weighs more than one cell, and c_n is far smaller.
+    - Slot k of the count at any node and weight n <= n_max counts some of
+      the walks of weight n from 0, so it stays below 2^w once w is the bit
+      length of the largest c_n with n <= n_max, here rounded up to whole
+      bytes. Layers past weight n_max are never read.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    degree = max(1, max(map(len, dg.out)))
-    width = -(-(degree**n_max).bit_length() // 8)
+    if metric is Metric.TILES:
+        most = {1: max(map(len, dg.out))}
+    else:
+        most = {}
+        for out in dg.out:
+            here: dict[int, int] = {}
+            for _, arc in out:
+                here[arc.cell_weight] = here.get(arc.cell_weight, 0) + 1
+            for w, a in here.items():
+                if a > most.get(w, 0):
+                    most[w] = a
+    bound = [1]
+    for n in range(1, n_max + 1):
+        bound.append(sum(a * bound[n - w] for w, a in most.items() if w <= n))
+    width = -(-max(bound).bit_length() // 8)
     rows = []
     for n, packed in enumerate(_walks_home(dg, metric, n_max, 8 * width)):
         raw = packed.to_bytes(width * (n + 1), "little")

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,18 @@ def test_poly_engine_with_wide_slots():
         for k in range(n + 1):
             j, r = divmod(n + 5 * k, 6)
             assert tri.entry(n, k) == entry_via_poly(spec, j, r, k), (n, k)
+
+
+def test_poly_tile_slots_of_exactly_rows_bits(run):
+    # (1,2) has T(n,k) = C(n,k), the slot bound itself: rows 64 packs 64-bit
+    # slots, rows 65 the first 72-bit ones
+    for rows in (64, 65):
+        binomials = csv_of([[math.comb(n, k) for k in range(n + 1)] for n in range(rows)])
+        for method in ("poly", "recursion"):
+            tri = run("triangle", "--m", "1", "--t", "2", "--rows", str(rows), "--method", method)
+            assert tri == (0, binomials, ""), (rows, method)
+            sums = run("sums", "--m", "1", "--t", "2", "--n", str(rows), "--method", method)
+            assert sums == (0, " ".join(str(2**n) for n in range(rows)) + "\n", ""), (rows, method)
 
 
 def test_walk_engine_with_wide_slots():

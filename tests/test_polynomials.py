@@ -16,6 +16,7 @@ from combtiles.polynomials import (
     bonacci_poly,
     entry_via_poly,
     power_series_div,
+    tile_rows,
 )
 
 from golden import CELL_SUMS, GF_4_2, TILE_SUMS, TRIANGLES
@@ -150,37 +151,100 @@ def test_antidiagonal_sum_closed_matches_board_counts():
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=2, max_value=6),
     st.integers(min_value=0, max_value=60),
-    st.integers(min_value=1, max_value=61),
 )
-def test_board_products_unpack_the_closed_form_products(m, t, max_board, rows):
+def test_board_products_unpack_the_closed_form_products(m, t, max_board):
     spec = CombSpec(m, t)
-    for b, (k0, coeffs) in enumerate(board_products(spec, max_board, rows)):
+    for b, coeffs in enumerate(board_products(spec, max_board)):
         j, r = divmod(b, m)
         expected = bonacci_poly(t, j) ** (m - r) * bonacci_poly(t, j + 1) ** r
-        # the band starts at the first degree whose tile row b - (t-1)k is < rows
-        assert k0 == max(0, -(-(b - rows + 1) // (t - 1))), b
-        assert tuple(coeffs) == expected.coeffs[k0:], b
+        assert tuple(coeffs) == expected.coeffs, b
+
+
+def _counted(monkeypatch, name):
+    # record every family value the generator ``name`` hands out
+    drawn = []
+    values = getattr(polynomials, name)
+
+    def counted(*args):
+        for value in values(*args):
+            drawn.append(value)
+            yield value
+
+    monkeypatch.setattr(polynomials, name, counted)
+    return drawn
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_board_products_end_on_a_multiple_of_m(m, monkeypatch):
     # the last board m*j is f_j^m: F_{j+1} and its powers are never built
-    drawn = []
-    values = polynomials._bonacci_values
-
-    def counted(t, shift):
-        for value in values(t, shift):
-            drawn.append(value)
-            yield value
-
-    monkeypatch.setattr(polynomials, "_bonacci_values", counted)
+    drawn = _counted(monkeypatch, "_bonacci_values")
     for t in (2, 3, 5):
         for j in (0, 1, 4):
             drawn.clear()
-            *_, (k0, coeffs) = board_products(CombSpec(m, t), m * j, m * j + 1)
-            assert k0 == 0
+            *_, coeffs = board_products(CombSpec(m, t), m * j)
             assert tuple(coeffs) == (bonacci_poly(t, j) ** m).coeffs
             assert len(drawn) == j + 1
+
+
+def _tile_table(spec: CombSpec, rows: int) -> list[list[int]]:
+    """The tile triangle from IntPolynomial products, one per board."""
+    m, t = spec.m, spec.t
+    table = [[0] * (n + 1) for n in range(rows)]
+    powers: dict[tuple[int, int], IntPolynomial] = {}
+
+    def power(j: int, e: int) -> IntPolynomial:
+        if (j, e) not in powers:
+            powers[j, e] = IntPolynomial((1,)) if e == 0 else power(j, e - 1) * bonacci_poly(t, j)
+        return powers[j, e]
+
+    for b in range(t * (rows - 1) + 1):
+        j, r = divmod(b, m)
+        for k, c in enumerate((power(j, m - r) * power(j + 1, r)).coeffs):
+            n = b - (t - 1) * k
+            if 0 <= n < rows:
+                table[n][k] = c
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=64),
+)
+def test_tile_rows_read_the_top_band_of_the_closed_form_products(m, t, rows):
+    spec = CombSpec(m, t)
+    assert tile_rows(spec, rows) == _tile_table(spec, rows)
+
+
+def test_tile_rows_skip_boards_with_an_empty_band():
+    # (3,2) at 2 rows: board 2 = 3*0 + 2 has degree 0 but its cells start at
+    # k0 = 1, so cell (1,1) comes from no product and stays 0
+    assert tile_rows(CombSpec(3, 2), 2) == [[1], [1, 0]]
+    # t = 2 shifts each board's cells one row per comb: the widest band
+    for m in range(1, 7):
+        spec = CombSpec(m, 2)
+        assert tile_rows(spec, 30) == _tile_table(spec, 30), m
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tile_rows_draw_no_value_past_the_last_band(m, monkeypatch):
+    # boards past the last one with cells are never built; when that one is
+    # m*j, F~_(j+1) is never drawn either (129 of these 342 tables end in
+    # boards with no cells that would draw one more value)
+    drawn = _counted(monkeypatch, "_reversed_values")
+    for t in (2, 3, 6):
+        for rows in range(1, 20):
+            last = max(
+                b
+                for b in range(t * (rows - 1) + 1)
+                if bonacci_poly(t, b // m).degree * (m - b % m)
+                + bonacci_poly(t, b // m + 1).degree * (b % m)
+                >= max(0, -(-(b - rows + 1) // (t - 1)))
+            )
+            drawn.clear()
+            tile_rows(CombSpec(m, t), rows)
+            assert len(drawn) == last // m + 1 + (last % m > 0), (t, rows)
 
 
 def test_power_series_div_generates_tile_sums():

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from combtiles import engines, recursion
 from combtiles.core import CombSpec, TriangleKind
 from combtiles.digraph import UnsupportedStructureError, analyze_structure, build_digraph
 from combtiles.recursion import (
@@ -163,6 +164,25 @@ def test_walk_count_works_where_synthesis_refuses():
         analyze_structure(dg)
     tri = walk_count(dg, Metric.TILES, 13)
     assert [list(row) for row in tri.rows] == TRIANGLES[(3, 3)]
+
+
+def test_walk_count_sizes_cell_slots_by_weight(monkeypatch):
+    # on cells a C-arc weighs t = 3 cells, so c_n = c_(n-1) + c_(n-3) bounds the
+    # walks of weight n, far below the d^n = 2^n of a plain out-degree count
+    shifts = []
+    walks_home = recursion._walks_home
+
+    def spy(dg, metric, n_max, shift):
+        shifts.append(shift)
+        return walks_home(dg, metric, n_max, shift)
+
+    monkeypatch.setattr(recursion, "_walks_home", spy)
+    spec = CombSpec(3, 3)
+    walk = walk_count(build_digraph(spec), Metric.CELLS, 149)
+    assert walk == engines.triangle(spec, TriangleKind.BOARD, 150, "poly")
+    # entries reach 78 bits; d^149 would have asked for 152-bit slots
+    assert max(max(row) for row in walk.rows).bit_length() == 78
+    assert shifts == [88]
 
 
 def test_errant_synthesis_hypothesis_checks():
