@@ -1,7 +1,9 @@
 """Engine dispatch: one function per table shape, whichever engine computes it.
 
-``auto`` uses the recursion synthesized from the digraph's cycle structure
-when the structure classifies and falls back to walk counting otherwise.
+``auto`` routes by shape. Board triangles and cell counts come from the
+product closed form (``poly``). Tile triangles and tile sums use the
+recursion synthesized from the digraph's cycle structure when the
+structure classifies and fall back to walk counting otherwise.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from . import oracle
 from .core import CombSpec, Triangle, TriangleKind
 from .digraph import UnsupportedStructureError, analyze_structure, build_digraph
-from .polynomials import board_counts, board_products, tile_rows
+from .polynomials import board_counts, triangle_rows
 from .recursion import (
     Metric,
     evaluate,
@@ -24,17 +26,6 @@ METHODS = ("auto", "oracle", "poly", "recursion", "walk")
 
 def _metric_for_kind(kind: TriangleKind) -> Metric:
     return Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
-
-
-def _poly_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
-    if kind is TriangleKind.TILE:
-        return Triangle.from_rows(spec, kind, tile_rows(spec, rows))
-    # b < rows: deg P_b <= b, so each board's coefficients pad out to its row
-    table = [
-        coeffs + [0] * (n + 1 - len(coeffs))
-        for n, coeffs in enumerate(board_products(spec, rows - 1))
-    ]
-    return Triangle.from_rows(spec, kind, table)
 
 
 def _check_method(method: str) -> None:
@@ -53,8 +44,8 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
     _check_size("rows", rows)
     if method == "oracle":
         return oracle.build_triangle(spec, kind, rows)
-    if method == "poly":
-        return _poly_triangle(spec, kind, rows)
+    if method == "poly" or (method == "auto" and kind is TriangleKind.BOARD):
+        return Triangle.from_rows(spec, kind, triangle_rows(spec, kind, rows))
     metric = _metric_for_kind(kind)
     # one digraph serves the recursion attempt and, for auto, the walk fallback
     dg = build_digraph(spec)
@@ -78,10 +69,10 @@ def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]
     if method == "oracle":
         kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
         return list(oracle.build_triangle(spec, kind, n_terms).row_sums())
+    if metric is Metric.CELLS and method in ("auto", "poly"):
+        return board_counts(spec, n_terms)
     if method == "poly":
-        if metric is Metric.CELLS:
-            return board_counts(spec, n_terms)
-        return [sum(row) for row in tile_rows(spec, n_terms)]
+        return [sum(row) for row in triangle_rows(spec, TriangleKind.TILE, n_terms)]
     dg = build_digraph(spec)
     if method != "walk":
         try:

@@ -16,7 +16,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import count, islice
 
-from .core import CombSpec, Frozen
+from .core import CombSpec, Frozen, TriangleKind
 
 
 class IntPolynomial(Frozen):
@@ -45,12 +45,6 @@ class IntPolynomial(Frozen):
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         if not self.coeffs or not other.coeffs:
@@ -135,16 +129,6 @@ def bonacci_number(t: int, n: int) -> int:
     return vals[-1] if vals else 0
 
 
-def _bonacci_values(t: int, shift: int) -> Iterator[int]:
-    """F_n = f_n(2^shift) for n = 0, 1, 2, ..., one shift and one add each."""
-    # the last t members, F_{n-t} first; those before F_0 are zero
-    window: deque[int] = deque([0] * (t - 1) + [1], maxlen=t)
-    yield 1
-    while True:
-        window.append(window[-1] + (window[0] << shift))
-        yield window[-1]
-
-
 def _reversed_values(t: int, shift: int, mask: int) -> Iterator[int]:
     """F~_n = f~_n(2^shift) & mask for n = 0, 1, 2, ..., where f~_n(y) = y^(n//t) f_n(1/y).
 
@@ -163,12 +147,13 @@ def _reversed_values(t: int, shift: int, mask: int) -> Iterator[int]:
 def _factor_pairs(
     m: int, family: Iterator[int], max_board: int, mask: int
 ) -> Iterator[tuple[int, int]]:
-    """(F_j^(m-r) & mask, F_{j+1}^r & mask) for boards b = m*j + r = 0..max_board.
+    """(F~_j^(m-r) & mask, F~_{j+1}^r & mask) for boards b = m*j + r = 0..max_board.
 
-    ``family`` yields F_0, F_1, ...; the product of a pair is P_b at the
-    family's point. Only the powers F_j^e and F_{j+1}^e (e <= m) are kept,
-    and the powers of a new F_{j+1} are built only as far as a board up to
-    max_board uses them, so the last board builds none it does not use.
+    ``family`` yields F~_0, F~_1, ... (``_reversed_values``); the product of
+    a pair is P~_b at the family's point, mod mask. Only the powers F~_j^e
+    and F~_{j+1}^e (e <= m) are kept, and the powers of a new F~_{j+1} are
+    built only as far as a board up to max_board uses them, so the last
+    board builds none it does not use.
     """
 
     def powers(f: int, top: int) -> list[int]:
@@ -187,45 +172,18 @@ def _factor_pairs(
         yield low[m - r], high[r]
 
 
-def board_products(spec: CombSpec, max_board: int) -> Iterator[list[int]]:
-    """Yield [c_0, ..., c_d] with c_k = [x^k] P_b for boards b = 0..max_board.
+def triangle_rows(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[int]]:
+    """Rows 0..rows-1 of the tile or board triangle, from the top band of each board product.
 
-    P_b = f_j^(m-r) * f_{j+1}^r for b = m*j + r, of degree d, and [x^k] P_b
-    counts tilings of a b-board with k combs.
-
-    Each P_b is computed as one integer, P_b(2^w), by Kronecker
-    substitution: the family runs as F_n = F_{n-1} + (F_{n-t} << w), so
-    F_n = f_n(2^w), and each P_b costs one big-integer product of two kept
-    powers (``_factor_pairs``). The coefficients are then read off as w-bit
-    slots of P_b(2^w), one ``to_bytes`` call per board.
-
-    The slots never carry into each other. The width w is the bit length
-    of P_max_board(1), rounded up to whole bytes. Every coefficient of P_b
-    is >= 0 (it counts tilings), so each is at most their sum P_b(1).
-    P_b(1) counts all tilings of a b-board, which never falls as b grows:
-    going from b to b + 1 replaces one factor f_j(1) by f_{j+1}(1) >= f_j(1).
-    Hence every coefficient is <= P_b(1) <= P_max_board(1) < 2^w, and the
-    base-2^w digits of P_b(2^w) are exactly the coefficients of P_b.
-    """
-    top = antidiagonal_sum_closed(spec, *divmod(max_board, spec.m))
-    width = -(-top.bit_length() // 8)
-    family = _bonacci_values(spec.t, 8 * width)
-    # a mask of -1 keeps every bit: all of each product is read
-    for low, high in _factor_pairs(spec.m, family, max_board, -1):
-        packed = low * high
-        raw = packed.to_bytes(-(-packed.bit_length() // 8), "little")
-        yield [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-
-
-def tile_rows(spec: CombSpec, rows: int) -> list[list[int]]:
-    """Rows 0..rows-1 of the tile triangle, from the top band of each board product.
-
-    Entry (n, k) is [x^k] P_b for the board b = n + (t-1)k. Board b holds
-    cells of rows below R = rows only in the degrees k0..d. Here
-    d = (m-r)(j//t) + r((j+1)//t) is the degree of P_b (f_n has degree n//t
-    and leading coefficient 1), and k0 = max(0, ceil((b - R + 1) / (t - 1))).
-    Boards with d < k0 hold none and are skipped. The boards run to
-    b = t(R-1), the board of entry (R-1, R-1).
+    Cell (n, k) is [x^k] P_b, which counts tilings of a b-board with k
+    combs, for P_b = f_j^(m-r) * f_{j+1}^r and the board b = m*j + r =
+    n + s*k, where s = t-1 for the tile triangle and s = 0 for the board
+    triangle. Board b holds cells of rows below R = rows only in the
+    degrees k0..d. Here d = (m-r)(j//t) + r((j+1)//t) is the degree of P_b
+    (f_n has degree n//t and leading coefficient 1), k0 = 0 for b < R and
+    k0 = ceil((b - R + 1) / s) after that. Boards with d < k0 hold none and
+    are skipped. The boards run to b = (s+1)(R-1), the board of cell
+    (R-1, R-1); so the board triangle takes every coefficient of P_0..P_(R-1).
 
     The band is read from the reversed product P~_b(y) = y^d P_b(1/y) =
     f~_j^(m-r) * f~_{j+1}^r (``_reversed_values``), whose degree-i
@@ -235,10 +193,16 @@ def tile_rows(spec: CombSpec, rows: int) -> list[list[int]]:
     mod 2^(B*w), B the largest L_b, and the two factors of each product
     mod 2^(L_b*w). That is exact, for these reasons:
 
-    - Every needed entry has n < R, and T(n,k) <= C(n,k) <= 2^n < 2^R <= 2^w:
-      a tiling is fixed by its sequence of n tile types, k of them combs
-      (each tile covers the leftmost cell still empty). So w = R bits,
-      rounded up to whole bytes, holds every needed slot.
+    - Every needed entry is below 2^w, where w is the smaller of R and the
+      bit length of P_last(1), rounded up to whole bytes, and last is the
+      last board with cells. An entry of row n < R counts tilings of at
+      most n tiles (n in the tile triangle, n - (t-1)k in the board
+      triangle), and a tiling is fixed by its sequence of tile types, since
+      each tile covers the leftmost cell still empty; so it is at most
+      2^n < 2^R. It is also at most P_b(1), the sum of the coefficients of
+      P_b, which are all >= 0. P_b(1) counts all tilings of a b-board,
+      which never falls as b grows: going from b to b + 1 replaces one
+      factor f_j(1) by f_{j+1}(1) >= f_j(1). So it is at most P_last(1).
     - Reduction mod 2^L commutes with sums, products and shifts, so the
       truncated family, powers and factors give P~_b(2^w) mod 2^(L_b*w) as
       an exact integer identity.
@@ -251,12 +215,14 @@ def tile_rows(spec: CombSpec, rows: int) -> list[list[int]]:
       slots must stay below 2^w.
     """
     m, t = spec.m, spec.t
-    shift = t - 1
-    boards = range(t * (rows - 1) + 1)
+    s = t - 1 if kind is TriangleKind.TILE else 0
+    boards = range((s + 1) * (rows - 1) + 1)
     degree = [(m - r) * (j // t) + r * ((j + 1) // t) for j, r in (divmod(b, m) for b in boards)]
-    first = [0] * rows + [(b - rows) // shift + 1 for b in boards[rows:]]
+    # k0 = 0 below board R, and the board triangle (s = 0) ends at R - 1
+    first = [0] * rows + [(b - rows) // s + 1 for b in boards[rows:]]
     last = max(b for b in boards if degree[b] >= first[b])
-    width = -(-rows // 8)
+    top = antidiagonal_sum_closed(spec, *divmod(last, m))
+    width = -(-min(rows, top.bit_length()) // 8)
     # masks[L] keeps the lowest L slots; the last one the widest band, B slots
     masks = [(1 << 8 * width * L) - 1 for L in range(max(map(int.__sub__, degree, first)) + 2)]
     family = _reversed_values(t, 8 * width, masks[-1])
@@ -269,11 +235,11 @@ def tile_rows(spec: CombSpec, rows: int) -> list[list[int]]:
         band = masks[d - k0 + 1]
         size = width * (d - k0 + 1)
         raw = ((low & band) * (high & band) & band).to_bytes(size, "little")
-        # slot i is degree k = d - i, in row n = b - (t-1)k
-        k, n = d, b - shift * d
+        # slot i is degree k = d - i, in row n = b - s*k
+        k, n = d, b - s * d
         for i in range(0, size, width):
             table[n][k] = from_bytes(raw[i : i + width], "little")
-            n += shift
+            n += s
             k -= 1
     return table
 

@@ -231,16 +231,17 @@ def test_auto_builds_the_digraph_once(monkeypatch):
         return build_digraph(spec)
 
     monkeypatch.setattr(engines, "build_digraph", counted)
-    # (4,4) is refused and falls back to walk; (2,3) classifies
+    # (4,4) is refused and falls back to walk; (2,3) classifies. Board
+    # triangles and cell counts take the closed form and build no digraph.
     for spec in [CombSpec(4, 4), CombSpec(2, 3)]:
         for kind in TriangleKind:
             calls.clear()
             engines.triangle(spec, kind, 6, "auto")
-            assert calls == [spec]
+            assert calls == ([spec] if kind is TriangleKind.TILE else [])
         for metric in Metric:
             calls.clear()
             engines.sums(spec, metric, 6, "auto")
-            assert calls == [spec]
+            assert calls == ([spec] if metric is Metric.TILES else [])
 
 
 def test_engines_reject_unknown_methods():

@@ -5,18 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtiles import polynomials
-from combtiles.core import CombSpec
+from combtiles.core import CombSpec, TriangleKind
 from combtiles.oracle import enumerate_tilings
 from combtiles.polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
     board_counts,
-    board_products,
     bonacci_number,
     bonacci_poly,
     entry_via_poly,
     power_series_div,
-    tile_rows,
+    triangle_rows,
 )
 
 from golden import CELL_SUMS, GF_4_2, TILE_SUMS, TRIANGLES
@@ -43,20 +42,24 @@ def test_polynomial_render():
     assert IntPolynomial((5,)).render() == "5"
 
 
+def _add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    # the library multiplies polynomials but never adds them
+    n = max(len(a.coeffs), len(b.coeffs))
+    return IntPolynomial([a.coefficient(i) + b.coefficient(i) for i in range(n)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys)
 def test_polynomial_ring_laws(a, b, c):
-    assert a + b == b + a
     assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert a * _add(b, c) == _add(a * b, a * c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, st.integers(min_value=-9, max_value=9))
 def test_evaluate_is_a_homomorphism(a, b, x):
-    assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+    assert _add(a, b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
     assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
 
 
@@ -146,6 +149,27 @@ def test_antidiagonal_sum_closed_matches_board_counts():
         assert board_counts(spec, len(sums)) == list(sums), (m, t)
 
 
+def _table(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[int]]:
+    """The tile or board triangle from IntPolynomial products, one per board."""
+    m, t = spec.m, spec.t
+    shift = t - 1 if kind is TriangleKind.TILE else 0
+    table = [[0] * (n + 1) for n in range(rows)]
+    powers: dict[tuple[int, int], IntPolynomial] = {}
+
+    def power(j: int, e: int) -> IntPolynomial:
+        if (j, e) not in powers:
+            powers[j, e] = IntPolynomial((1,)) if e == 0 else power(j, e - 1) * bonacci_poly(t, j)
+        return powers[j, e]
+
+    for b in range((shift + 1) * (rows - 1) + 1):
+        j, r = divmod(b, m)
+        for k, c in enumerate((power(j, m - r) * power(j + 1, r)).coeffs):
+            n = b - shift * k
+            if 0 <= n < rows:
+                table[n][k] = c
+    return table
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
@@ -153,11 +177,10 @@ def test_antidiagonal_sum_closed_matches_board_counts():
     st.integers(min_value=0, max_value=60),
 )
 def test_board_products_unpack_the_closed_form_products(m, t, max_board):
+    # row b holds every coefficient of P_b (deg P_b <= b), padded with zeros
     spec = CombSpec(m, t)
-    for b, coeffs in enumerate(board_products(spec, max_board)):
-        j, r = divmod(b, m)
-        expected = bonacci_poly(t, j) ** (m - r) * bonacci_poly(t, j + 1) ** r
-        assert tuple(coeffs) == expected.coeffs, b
+    rows = max_board + 1
+    assert triangle_rows(spec, TriangleKind.BOARD, rows) == _table(spec, TriangleKind.BOARD, rows)
 
 
 def _counted(monkeypatch, name):
@@ -176,34 +199,16 @@ def _counted(monkeypatch, name):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_board_products_end_on_a_multiple_of_m(m, monkeypatch):
-    # the last board m*j is f_j^m: F_{j+1} and its powers are never built
-    drawn = _counted(monkeypatch, "_bonacci_values")
+    # a board table ending on board m*j ends on f_j^m: F~_(j+1) and its
+    # powers are never built
+    drawn = _counted(monkeypatch, "_reversed_values")
     for t in (2, 3, 5):
         for j in (0, 1, 4):
             drawn.clear()
-            *_, coeffs = board_products(CombSpec(m, t), m * j)
-            assert tuple(coeffs) == (bonacci_poly(t, j) ** m).coeffs
+            *_, row = triangle_rows(CombSpec(m, t), TriangleKind.BOARD, m * j + 1)
+            expected = (bonacci_poly(t, j) ** m).coeffs
+            assert tuple(row[: len(expected)]) == expected
             assert len(drawn) == j + 1
-
-
-def _tile_table(spec: CombSpec, rows: int) -> list[list[int]]:
-    """The tile triangle from IntPolynomial products, one per board."""
-    m, t = spec.m, spec.t
-    table = [[0] * (n + 1) for n in range(rows)]
-    powers: dict[tuple[int, int], IntPolynomial] = {}
-
-    def power(j: int, e: int) -> IntPolynomial:
-        if (j, e) not in powers:
-            powers[j, e] = IntPolynomial((1,)) if e == 0 else power(j, e - 1) * bonacci_poly(t, j)
-        return powers[j, e]
-
-    for b in range(t * (rows - 1) + 1):
-        j, r = divmod(b, m)
-        for k, c in enumerate((power(j, m - r) * power(j + 1, r)).coeffs):
-            n = b - (t - 1) * k
-            if 0 <= n < rows:
-                table[n][k] = c
-    return table
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,17 +219,17 @@ def _tile_table(spec: CombSpec, rows: int) -> list[list[int]]:
 )
 def test_tile_rows_read_the_top_band_of_the_closed_form_products(m, t, rows):
     spec = CombSpec(m, t)
-    assert tile_rows(spec, rows) == _tile_table(spec, rows)
+    assert triangle_rows(spec, TriangleKind.TILE, rows) == _table(spec, TriangleKind.TILE, rows)
 
 
 def test_tile_rows_skip_boards_with_an_empty_band():
     # (3,2) at 2 rows: board 2 = 3*0 + 2 has degree 0 but its cells start at
     # k0 = 1, so cell (1,1) comes from no product and stays 0
-    assert tile_rows(CombSpec(3, 2), 2) == [[1], [1, 0]]
+    assert triangle_rows(CombSpec(3, 2), TriangleKind.TILE, 2) == [[1], [1, 0]]
     # t = 2 shifts each board's cells one row per comb: the widest band
     for m in range(1, 7):
         spec = CombSpec(m, 2)
-        assert tile_rows(spec, 30) == _tile_table(spec, 30), m
+        assert triangle_rows(spec, TriangleKind.TILE, 30) == _table(spec, TriangleKind.TILE, 30), m
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -243,8 +248,32 @@ def test_tile_rows_draw_no_value_past_the_last_band(m, monkeypatch):
                 >= max(0, -(-(b - rows + 1) // (t - 1)))
             )
             drawn.clear()
-            tile_rows(CombSpec(m, t), rows)
+            triangle_rows(CombSpec(m, t), TriangleKind.TILE, rows)
             assert len(drawn) == last // m + 1 + (last % m > 0), (t, rows)
+
+
+@pytest.mark.parametrize(
+    "m, t, kind, rows, bits",
+    [
+        # the board-count bound, as the board triangle always had
+        (6, 6, TriangleKind.BOARD, 300, 104),
+        # the board-count bound: P_last(1) has at most 8 bits, under R = 10
+        (6, 6, TriangleKind.TILE, 10, 8),
+        # the row bound: 2^R with R = 50, under P_last(1)
+        (6, 6, TriangleKind.TILE, 50, 56),
+    ],
+)
+def test_triangle_rows_slot_width_is_the_smaller_bound(m, t, kind, rows, bits, monkeypatch):
+    shifts = []
+    values = polynomials._reversed_values
+
+    def recorded(t, shift, mask):
+        shifts.append(shift)
+        return values(t, shift, mask)
+
+    monkeypatch.setattr(polynomials, "_reversed_values", recorded)
+    triangle_rows(CombSpec(m, t), kind, rows)
+    assert shifts == [bits]
 
 
 def test_power_series_div_generates_tile_sums():
