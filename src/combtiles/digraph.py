@@ -296,119 +296,103 @@ def _find_cycle(succ: list[list[int]], skip: int | None = None) -> list[int] | N
     return None
 
 
-def _on_every_cycle(succ: list[list[int]], cycle: list[int]) -> bool:
-    """Whether some node of cycle lies on every cycle of succ.
+def _on_every_cycle(succ: list[list[int]], cycle: list[int]) -> list[int]:
+    """The nodes of cycle that lie on every cycle of succ.
 
     Such a node lies on every cycle found, so each cycle that avoids a
     candidate cuts the candidates down to its own nodes.
     """
     candidates = set(cycle)
+    found = []
     while candidates:
-        v = min(candidates)
+        v = candidates.pop()
         other = _find_cycle(succ, skip=v)
         if other is None:
-            return True
-        candidates.intersection_update(other)
-    return False
+            found.append(v)
+        else:
+            candidates.intersection_update(other)
+    return found
 
 
-def _anchor_exists(dg: MetatileDigraph) -> bool:
-    """Whether analyze_structure finds a common or pseudo-common node.
+def _anchor(dg: MetatileDigraph) -> tuple[int | None, int | None]:
+    """Node numbers of the anchor and of the errant loop, if any.
 
-    Decided on the inner subgraph (without "0") by acyclicity tests, in
-    time linear in its size per test (depth-first search, Tarjan 1972),
-    instead of by listing every cycle: a node lies on every cycle exactly
-    when removing it leaves no cycle.
+    Inner cycles avoid "0". The anchor is the common node, on every inner
+    cycle. Failing that, one self-loop is set aside as errant, C-loops
+    before S-loops and each by node number, and the anchor is the
+    pseudo-common node, on every inner cycle left. Ties go to the smallest
+    label, not node number. With no inner cycle both are None.
+
+    Decided on the inner subgraph by acyclicity tests, in time linear in
+    its size per test (depth-first search, Tarjan 1972), instead of by
+    listing every cycle: a node lies on every cycle exactly when removing
+    it leaves no cycle. Raises UnsupportedStructureError when no node fits.
     """
     # node 0 keeps no arcs, so it lies on no cycle of succ
     succ = [[v for v, _ in out if v] for out in dg.out]
     succ[0] = []
     cycle = _find_cycle(succ)
-    if cycle is None or _on_every_cycle(succ, cycle):
-        return True
-    for e, dsts in enumerate(succ):
-        if e not in dsts:
-            continue
-        # set one self-loop at e aside, as an errant loop; no node found
-        # now can be e, or e would have been on every cycle already
-        rest = list(dsts)
-        rest.remove(e)
-        succ[e] = rest
+    if cycle is None:
+        return None, None
+    common = _on_every_cycle(succ, cycle)
+    if common:
+        return min(common, key=dg.nodes.__getitem__), None
+    loops = sorted(
+        (arc.label, e) for e, out in enumerate(dg.out) if e for v, arc in out if v == e
+    )
+    for _, e in loops:
+        # with the loop set aside, a node on every cycle left cannot be e,
+        # or e would have been on every cycle already
+        dsts = succ[e]
+        succ[e] = dsts.copy()
+        succ[e].remove(e)
         cycle = _find_cycle(succ)
-        found = cycle is not None and _on_every_cycle(succ, cycle)
+        shared = _on_every_cycle(succ, cycle) if cycle is not None else []
         succ[e] = dsts
-        if found:
-            return True
-    return False
+        if shared:
+            return min(shared, key=dg.nodes.__getitem__), e
+    raise UnsupportedStructureError(_NO_ANCHOR)
 
 
 def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
     """Classify the digraph's cycles around a common or pseudo-common node.
 
-    Inner cycles avoid "0". If some node lies on all of them it is the
-    common node (ties broken by smallest label, not by node number).
-    Failing that, each self-loop off "0" is tried as an errant loop:
-    removing it must leave a nonempty set of inner cycles sharing a node
-    other than the loop's own. Outer cycles and circuits are then computed
-    relative to the chosen node.
+    The anchor and errant loop are those of :func:`_anchor`, chosen before
+    any cycle is listed; the cycles are then listed only to report them.
+    Outer cycles pass through "0" and avoid the anchor; circuits join each
+    path from "0" to the anchor with each path back.
 
-    Raises UnsupportedStructureError when no classification fits, which is
-    decided before any cycle is enumerated, or when enumerating the cycles
-    of a structure that fits would exceed a fixed step budget.
+    Raises UnsupportedStructureError when no classification fits, or when
+    listing the cycles of a structure that fits would exceed a fixed step
+    budget.
     """
-    if not _anchor_exists(dg):
-        raise UnsupportedStructureError(_NO_ANCHOR)
+    a, e = _anchor(dg)
     budget = _Budget(_STEP_BUDGET)
     cycles = _simple_cycles(dg, budget)
+    if a is None:
+        return CycleStructure(dg, (), tuple(cycles), ())
+    anchor = dg.nodes[a]
+    e_node = dg.nodes[e] if e is not None else None
     inner = [c for c in cycles if not c.visits("0")]
-    zero_cycles = [c for c in cycles if c.visits("0")]
-
-    if not inner:
-        return CycleStructure(dg, (), tuple(zero_cycles), ())
-
-    errant: Cycle | None = None
-    common = set.intersection(*(set(c.nodes) for c in inner))
-    if common:
-        anchor = min(common)
-        kept = inner
-    else:
-        for cand in inner:
-            if cand.n_tiles != 1 or cand.arcs[0].src != cand.arcs[0].dst:
-                continue
-            rest = [c for c in inner if c is not cand]
-            if not rest:
-                continue
-            shared = set.intersection(*(set(c.nodes) for c in rest))
-            shared -= {cand.arcs[0].src}
-            if shared:
-                errant = cand
-                anchor = min(shared)
-                kept = rest
-                break
-        else:
-            raise UnsupportedStructureError(_NO_ANCHOR)
-
-    e_node = errant.arcs[0].src if errant is not None else None
+    errant = next((c for c in inner if c.n_tiles == 1 and c.visits(e_node)), None)
 
     def finish(cycle: Cycle) -> Cycle:
         if e_node is None:
             return cycle
         return cycle.replace(plain=not cycle.visits(e_node))
 
-    outer = [finish(c) for c in zero_cycles if not c.visits(anchor)]
-    a = dg.nodes.index(anchor)
-    joined = [
+    heads = _simple_paths(dg, 0, a, budget, "path")
+    tails = _simple_paths(dg, a, 0, budget, "path")
+    circuits = _sorted_cycles([
         (head_nodes + tail_nodes, head + tail)
-        for head_nodes, head in _simple_paths(dg, 0, a, budget, "path")
-        # the tails are listed again for every head, and each listing spends budget
-        for tail_nodes, tail in _simple_paths(dg, a, 0, budget, "path")
-    ]
-    circuits = [finish(c) for c in _sorted_cycles(joined)]
+        for head_nodes, head in heads
+        for tail_nodes, tail in tails
+    ])
     return CycleStructure(
         dg,
-        tuple(finish(c) for c in kept),
-        tuple(outer),
-        tuple(circuits),
+        tuple(finish(c) for c in inner if c is not errant),
+        tuple(finish(c) for c in cycles if c.visits("0") and not c.visits(anchor)),
+        tuple(map(finish, circuits)),
         common_node=anchor if errant is None else None,
         pseudo_common=anchor if errant is not None else None,
         errant=errant.replace(plain=False) if errant is not None else None,

@@ -24,10 +24,6 @@ from .recursion import (
 METHODS = ("auto", "oracle", "poly", "recursion", "walk")
 
 
-def _metric_for_kind(kind: TriangleKind) -> Metric:
-    return Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
-
-
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
@@ -46,7 +42,7 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
         return oracle.build_triangle(spec, kind, rows)
     if method == "poly" or (method == "auto" and kind is TriangleKind.BOARD):
         return Triangle.from_rows(spec, kind, triangle_rows(spec, kind, rows))
-    metric = _metric_for_kind(kind)
+    metric = Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
     # one digraph serves the recursion attempt and, for auto, the walk fallback
     dg = build_digraph(spec)
     if method != "walk":
@@ -67,8 +63,7 @@ def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]
     _check_method(method)
     _check_size("n_terms", n_terms)
     if method == "oracle":
-        kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
-        return list(oracle.build_triangle(spec, kind, n_terms).row_sums())
+        return list(oracle.build_triangle(spec, metric.kind, n_terms).row_sums())
     if metric is Metric.CELLS and method in ("auto", "poly"):
         return board_counts(spec, n_terms)
     if method == "poly":

@@ -14,7 +14,8 @@ import json
 import math
 from collections.abc import Sequence
 
-from .core import CombSpec, Frozen, Triangle, board_to_tile_index, max_combs
+from . import engines
+from .core import CombSpec, Frozen, Triangle, TriangleKind, board_to_tile_index, max_combs
 from .digraph import CycleStructure, analyze_structure, build_digraph
 from .oracle import _board_comb_counts, enumerate_restricted_subsets
 from .polynomials import (
@@ -31,7 +32,6 @@ from .recursion import (
     evaluate,
     project_row_sum,
     synthesize,
-    walk_count,
 )
 
 
@@ -98,14 +98,9 @@ def _binom(a: int, b: int) -> int:
 
 # cache sizes hold every key the full profile asks for, so a suite run
 # recomputes nothing and a long-lived process keeps a bounded cache
-@functools.lru_cache(maxsize=64)
-def _tile_triangle(spec: CombSpec, n_max: int) -> Triangle:
-    return walk_count(build_digraph(spec), Metric.TILES, n_max)
-
-
 @functools.lru_cache(maxsize=128)
-def _board_triangle(spec: CombSpec, n_max: int) -> Triangle:
-    return walk_count(build_digraph(spec), Metric.CELLS, n_max)
+def _triangle(spec: CombSpec, kind: TriangleKind, n_max: int) -> Triangle:
+    return engines.triangle(spec, kind, n_max + 1, "walk")
 
 
 @functools.lru_cache(maxsize=16)
@@ -259,8 +254,8 @@ def _relation_terms(rel: RecursionRelation) -> tuple[dict, dict]:
 def _check_ch_eq_chb(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        board = _board_triangle(spec, p.max_n)
-        tile = _tile_triangle(spec, p.max_n)
+        board = _triangle(spec, TriangleKind.BOARD, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         for n in range(p.max_n + 1):
             for k in range(n + 1):
                 tn, tk = board_to_tile_index(spec, n, k)
@@ -276,7 +271,7 @@ def _check_ch_eq_chb(p: GridProfile) -> CheckReport:
 def _check_adiag_sum(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         for n in range(p.max_n + 1):
             total = 0
             for k in range(n // spec.t + 1):
@@ -294,7 +289,7 @@ def _check_adiag_sum(p: GridProfile) -> CheckReport:
 def _check_col0(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         for n in range(p.max_n + 1):
             rec.record(f"m={spec.m} t={spec.t} n={n}", 1, tile.entry(n, 0))
     return CheckReport("col0", _grid_desc(p, "k=0"), rec.cases, tuple(rec.failures))
@@ -303,7 +298,7 @@ def _check_col0(p: GridProfile) -> CheckReport:
 def _check_diag(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         for n in range(p.max_n + 1):
             expected = 1 if n % spec.m == 0 else 0
             rec.record(f"m={spec.m} t={spec.t} n={n}", expected, tile.entry(n, n))
@@ -313,7 +308,7 @@ def _check_diag(p: GridProfile) -> CheckReport:
 def _check_col1(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         gap = (spec.m - 1) * (spec.t - 1)
         for n in range(1, p.max_n + 1):
             expected = 0 if n < gap + 1 else n - gap
@@ -324,7 +319,7 @@ def _check_col1(p: GridProfile) -> CheckReport:
 def _check_zeros(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p, min_m=2):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         m, t = spec.m, spec.t
         for j in range(1, p.max_n // m + 2):
             for pp in range(1, m):
@@ -340,7 +335,7 @@ def _check_zeros(p: GridProfile) -> CheckReport:
     # the zero region's edge: the largest k with a nonzero count on each
     # board must agree with the closed-form comb capacity
     for spec in _specs(p):
-        board = _board_triangle(spec, p.max_n)
+        board = _triangle(spec, TriangleKind.BOARD, p.max_n)
         for b in range(p.max_n + 1):
             largest = max(k for k in range(b + 1) if board.entry(b, k) > 0 or k == 0)
             j, r = divmod(b, spec.m)
@@ -355,7 +350,7 @@ def _check_zeros(p: GridProfile) -> CheckReport:
 def _check_vert_boundary(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         m, t = spec.m, spec.t
         for j in range(1, p.max_n // m + 2):
             for s in range(t - 1):
@@ -377,7 +372,7 @@ def _check_vert_boundary(p: GridProfile) -> CheckReport:
 def _check_ray_boundary(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         m, t = spec.m, spec.t
         for j in range(1, p.max_n // m + 2):
             for pp in range(m + 1):
@@ -395,7 +390,7 @@ def _check_ray_boundary(p: GridProfile) -> CheckReport:
 def _check_one_square_block(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         m, t = spec.m, spec.t
         for j in range(1, p.max_n // m + 2):
             n, k = m * j + t - 1, m * j - 1
@@ -412,7 +407,7 @@ def _check_one_square_block(p: GridProfile) -> CheckReport:
 def _check_two_square_block(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         m, t = spec.m, spec.t
         for j in range(1, p.max_n // m + 2):
             if m * j < 2:
@@ -447,7 +442,7 @@ def _compositions(s: int) -> list[tuple[int, ...]]:
 def _check_composition(p: GridProfile) -> CheckReport:
     rec = _Recorder()
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         m, t = spec.m, spec.t
         for s in range(1, 6):
             for j in range(1, p.max_n // m + 2):
@@ -477,7 +472,7 @@ def _check_pascal_region(p: GridProfile) -> CheckReport:
     held = 0
     probed = 0
     for spec in _specs(p):
-        tile = _tile_triangle(spec, p.max_n)
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         edge = (spec.m - 1) * (spec.t - 1)
         for n in range(1, p.max_n + 1):
             for k in range(n + 1):
@@ -510,7 +505,7 @@ def _check_subset_recurrence(p: GridProfile) -> CheckReport:
     for spec in _specs(p):
         m, t = spec.m, spec.t
         pad = (t - 1) * m
-        board = _board_triangle(spec, p.max_n + pad)
+        board = _triangle(spec, TriangleKind.BOARD, p.max_n + pad)
 
         def s_val(n: int, k: int) -> int:
             return board.entry(n + pad, k) if n + pad >= 0 and k >= 0 else 0
@@ -663,7 +658,7 @@ def _check_tpoly(p: GridProfile) -> CheckReport:
     oracle_cap = 14
     for spec in _specs(p):
         m, t = spec.m, spec.t
-        board = _board_triangle(spec, m * j_max + m - 1)
+        board = _triangle(spec, TriangleKind.BOARD, m * j_max + m - 1)
         for j in range(j_max + 1):
             for r in range(m):
                 n_board = m * j + r
@@ -695,7 +690,7 @@ def _check_s_corollaries(p: GridProfile) -> CheckReport:
     for spec in _specs(p):
         m, t = spec.m, spec.t
         pad = (t - 1) * m
-        board = _board_triangle(spec, cap + pad)
+        board = _triangle(spec, TriangleKind.BOARD, cap + pad)
         for n in range(cap + 1):
             subsets = enumerate_restricted_subsets(spec, n)
             by_k: dict[int, int] = {}

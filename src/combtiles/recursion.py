@@ -21,6 +21,11 @@ class Metric(Enum):
     TILES = "tiles"
     CELLS = "cells"
 
+    @property
+    def kind(self) -> TriangleKind:
+        """The triangle a walk weight indexes: tile counts or board cells."""
+        return TriangleKind.TILE if self is Metric.TILES else TriangleKind.BOARD
+
 
 class RecursionRelation(Frozen):
     """B(n,k) = sum of delta terms + sum of coeff * B(n - dn, k - dk).
@@ -192,8 +197,7 @@ def evaluate(rel: RecursionRelation, n_max: int) -> Triangle | tuple[int, ...]:
                         value += coeff * rows[pn][pk]
                 row.append(value)
             rows.append(row)
-        kind = TriangleKind.TILE if rel.metric is Metric.TILES else TriangleKind.BOARD
-        return Triangle.from_rows(rel.spec, kind, rows)
+        return Triangle.from_rows(rel.spec, rel.metric.kind, rows)
     seq: list[int] = []
     for n in range(n_max + 1):
         value = 0
@@ -283,8 +287,7 @@ def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
         rows.append([
             int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
         ])
-    kind = TriangleKind.TILE if metric is Metric.TILES else TriangleKind.BOARD
-    return Triangle.from_rows(dg.spec, kind, rows)
+    return Triangle.from_rows(dg.spec, metric.kind, rows)
 
 
 def walk_sums(dg: MetatileDigraph, metric: Metric, n_max: int) -> tuple[int, ...]:

@@ -187,24 +187,36 @@ def test_refusals_decided_without_listing_cycles(monkeypatch):
             analyze_structure(dg)
 
 
-def _anchor_by_enumeration(dg: MetatileDigraph) -> bool:
-    """The rule of analyze_structure, applied to the full list of inner cycles."""
+def _anchor_by_enumeration(dg: MetatileDigraph) -> tuple[str | None, str | None] | None:
+    """The anchor rule applied to the full list of inner cycles.
+
+    (anchor label, errant node label), both None when there is no inner
+    cycle, or None when no node fits.
+    """
     cycles = digraph._simple_cycles(dg, digraph._Budget(10**9))
     inner = [c for c in cycles if not c.visits("0")]
-    if not inner or set.intersection(*(set(c.nodes) for c in inner)):
-        return True
+    if not inner:
+        return None, None
+    common = set.intersection(*(set(c.nodes) for c in inner))
+    if common:
+        return min(common), None
+    # the cycles come sorted by tile count, then label, so C-loops come first
     for loop in inner:
         if loop.n_tiles != 1:
             continue
         rest = [c for c in inner if c is not loop]
-        if rest and set.intersection(*(set(c.nodes) for c in rest)) - {loop.nodes[0]}:
-            return True
-    return False
+        shared = rest and set.intersection(*(set(c.nodes) for c in rest)) - {loop.nodes[0]}
+        if shared:
+            return min(shared), loop.nodes[0]
+    return None
 
 
 @st.composite
 def small_digraphs(draw):
-    nodes = ("0",) + tuple(f"v{i}" for i in range(1, draw(st.integers(1, 8))))
+    # labels in shuffled order, so a tie broken by node number shows
+    n_nodes = draw(st.integers(1, 8))
+    labels = draw(st.permutations([f"v{i}" for i in range(1, n_nodes)]))
+    nodes = ("0", *labels)
     target = st.none() | st.sampled_from(nodes)
     arcs = []
     for src in nodes:
@@ -219,12 +231,33 @@ def small_digraphs(draw):
 @given(small_digraphs())
 def test_anchor_test_matches_cycle_enumeration(dg):
     expected = _anchor_by_enumeration(dg)
-    assert digraph._anchor_exists(dg) == expected
-    if expected:
-        analyze_structure(dg)  # the enumeration then finds the anchor
-    else:
+    if expected is None:
+        with pytest.raises(UnsupportedStructureError, match="no common node"):
+            digraph._anchor(dg)
         with pytest.raises(UnsupportedStructureError, match="no common node"):
             analyze_structure(dg)
+        return
+    chosen = tuple(None if v is None else dg.nodes[v] for v in digraph._anchor(dg))
+    assert chosen == expected
+    st = analyze_structure(dg)
+    assert (st.anchor, st.errant_node) == expected
+
+
+def test_circuit_tails_listed_once(monkeypatch):
+    listings = []
+    simple_paths = digraph._simple_paths
+
+    def counting(dg, src, dst, budget, what, floor=0):
+        if what == "path":
+            listings.append((src, dst))
+        return simple_paths(dg, src, dst, budget, what, floor)
+
+    monkeypatch.setattr(digraph, "_simple_paths", counting)
+    for m, t in [(2, 4), (2, 5), (4, 2)]:
+        listings.clear()
+        analyze_structure(build_digraph(CombSpec(m, t)))
+        # one listing of the heads (0 to anchor), one of the tails (back)
+        assert len(listings) == 2, (m, t)
 
 
 def test_step_budget_is_effective(monkeypatch):
