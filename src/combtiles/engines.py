@@ -10,10 +10,16 @@ from __future__ import annotations
 
 from . import oracle
 from .core import CombSpec, Triangle, TriangleKind
-from .digraph import UnsupportedStructureError, analyze_structure, build_digraph
+from .digraph import (
+    MetatileDigraph,
+    UnsupportedStructureError,
+    analyze_structure,
+    build_digraph,
+)
 from .polynomials import board_counts, triangle_rows
 from .recursion import (
     Metric,
+    RecursionRelation,
     evaluate,
     project_row_sum,
     synthesize,
@@ -34,6 +40,16 @@ def _check_size(name: str, size: int) -> None:
         raise ValueError(f"{name} must be >= 1")
 
 
+def _relation(dg: MetatileDigraph, metric: Metric, method: str) -> RecursionRelation | None:
+    """The relation synthesized from dg, or None under ``walk`` or a refused ``auto``."""
+    try:
+        return None if method == "walk" else synthesize(analyze_structure(dg), metric)
+    except UnsupportedStructureError:
+        if method == "recursion":
+            raise
+        return None
+
+
 def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Triangle:
     """Rows 0..rows-1 of the tile- or board-indexed triangle."""
     _check_method(method)
@@ -43,19 +59,12 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
     if method == "poly" or (method == "auto" and kind is TriangleKind.BOARD):
         return Triangle.from_rows(spec, kind, triangle_rows(spec, kind, rows))
     metric = Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
-    # one digraph serves the recursion attempt and, for auto, the walk fallback
     dg = build_digraph(spec)
-    if method != "walk":
-        try:
-            rel = synthesize(analyze_structure(dg), metric)
-        except UnsupportedStructureError:
-            if method == "recursion":
-                raise
-        else:
-            tri = evaluate(rel, rows - 1)
-            assert isinstance(tri, Triangle)
-            return tri
-    return walk_count(dg, metric, rows - 1)
+    if (rel := _relation(dg, metric, method)) is None:
+        return walk_count(dg, metric, rows - 1)
+    tri = evaluate(rel, rows - 1)
+    assert isinstance(tri, Triangle)
+    return tri
 
 
 def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]:
@@ -69,14 +78,8 @@ def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]
     if method == "poly":
         return [sum(row) for row in triangle_rows(spec, TriangleKind.TILE, n_terms)]
     dg = build_digraph(spec)
-    if method != "walk":
-        try:
-            rel = project_row_sum(synthesize(analyze_structure(dg), metric))
-        except UnsupportedStructureError:
-            if method == "recursion":
-                raise
-        else:
-            seq = evaluate(rel, n_terms - 1)
-            assert isinstance(seq, tuple)
-            return list(seq)
-    return list(walk_sums(dg, metric, n_terms - 1))
+    if (rel := _relation(dg, metric, method)) is None:
+        return list(walk_sums(dg, metric, n_terms - 1))
+    seq = evaluate(project_row_sum(rel), n_terms - 1)
+    assert isinstance(seq, tuple)
+    return list(seq)

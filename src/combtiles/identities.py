@@ -26,13 +26,7 @@ from .polynomials import (
     entry_via_poly,
     power_series_div,
 )
-from .recursion import (
-    Metric,
-    RecursionRelation,
-    evaluate,
-    project_row_sum,
-    synthesize,
-)
+from .recursion import Metric, RecursionRelation, project_row_sum, synthesize
 
 
 class GridProfile(Frozen):
@@ -556,9 +550,7 @@ def _check_gf_42(p: GridProfile) -> CheckReport:
         * IntPolynomial((1, 0, 2, 1, 1))
     )
     series = power_series_div((1, -1, 0, -1), denominator.coeffs, 12)
-    rel = project_row_sum(synthesize(_structure(CombSpec(4, 2)), Metric.TILES))
-    sums = evaluate(rel, 11)
-    assert isinstance(sums, tuple)
+    sums = engines.sums(CombSpec(4, 2), Metric.TILES, 12, "recursion")
     for n in range(12):
         rec.record(f"m=4 t=2 n={n}", series[n], sums[n])
     return CheckReport(

@@ -6,6 +6,7 @@ self-loop yields a slightly longer one. Both synthesizers emit literal term
 lists (delta terms and backward shifts) that are then collected into a
 canonical form. A direct dynamic program over walks provides the same
 numbers with no structure hypothesis at all, which is the cross-check.
+Both engines hold a triangle row as one integer with a slot per comb count.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ class Metric(Enum):
 class RecursionRelation(Frozen):
     """B(n,k) = sum of delta terms + sum of coeff * B(n - dn, k - dk).
 
-    Out-of-range references (n < 0, k < 0, k > n) read as 0. When tracks_k
-    is false the k slot of every term is None and the relation is over a
-    plain sequence B(n).
+    References with n < 0 read as 0; a tracked k stays in its row, with
+    0 <= k0 <= n0 and 0 <= dk <= dn. When tracks_k is false the k slot of
+    every term is None and the relation is over a plain sequence B(n).
     """
 
     __slots__ = _fields = ("spec", "metric", "tracks_k", "delta_terms", "shift_terms")
@@ -44,13 +45,14 @@ class RecursionRelation(Frozen):
     ) -> None:
         self._set(spec, metric, tracks_k, delta_terms, shift_terms)
         for n0, k0, coeff in self.delta_terms:
-            if n0 < 0 or coeff == 0 or (k0 is None) == self.tracks_k:
+            if n0 < 0 or coeff == 0 or not self._k_within(k0, n0):
                 raise ValueError(f"bad delta term ({n0},{k0},{coeff})")
         for dn, dk, coeff in self.shift_terms:
-            if dn <= 0 or coeff == 0 or (dk is None) == self.tracks_k:
+            if dn <= 0 or coeff == 0 or not self._k_within(dk, dn):
                 raise ValueError(f"bad shift term ({dn},{dk},{coeff})")
-            if dk is not None and dk < 0:
-                raise ValueError(f"bad shift term ({dn},{dk},{coeff})")
+
+    def _k_within(self, k: int | None, n: int) -> bool:
+        return k is not None and 0 <= k <= n if self.tracks_k else k is None
 
     def render(self) -> str:
         head = "B(n,k)" if self.tracks_k else "B(n)"
@@ -179,36 +181,44 @@ def project_row_sum(rel: RecursionRelation) -> RecursionRelation:
 
 
 def evaluate(rel: RecursionRelation, n_max: int) -> Triangle | tuple[int, ...]:
-    """Run the relation forward through n = n_max with exact integers."""
+    """Run the relation forward through n = n_max with exact integers.
+
+    Row n is one integer R_n = sum over k of B(n,k) * 2^(w*k), as in
+    :func:`walk_count`: the delta terms c << w*k0 at n0 = n plus
+    c * R_(n-dn) << w*dk per shift term. A projected relation runs the same
+    loop with w = 0. No triangle slot carries into the next: no term reaches
+    past k = n (the constructor checks dk <= dn and k0 <= n0), so B_n(y) =
+    sum over k of B(n,k) y^k obeys the relation as a polynomial identity and
+    y = 2^w is a ring map, negative coefficients included. Entry (n, k)
+    counts tilings of at most n tiles, so 0 <= B(n,k) <= 2^n < 2^w once w
+    is n_max + 1 bits, here rounded up to whole bytes.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if rel.tracks_k:
-        rows: list[list[int]] = []
-        for n in range(n_max + 1):
-            row = []
-            for k in range(n + 1):
-                value = 0
-                for n0, k0, coeff in rel.delta_terms:
-                    if n0 == n and k0 == k:
-                        value += coeff
-                for dn, dk, coeff in rel.shift_terms:
-                    pn, pk = n - dn, k - dk
-                    if pn >= 0 and 0 <= pk <= pn:
-                        value += coeff * rows[pn][pk]
-                row.append(value)
-            rows.append(row)
-        return Triangle.from_rows(rel.spec, rel.metric.kind, rows)
-    seq: list[int] = []
+    width = -(-(n_max + 1) // 8) if rel.tracks_k else 0
+    packed = [0] * (n_max + 1)
+    for n0, k0, coeff in rel.delta_terms:
+        if n0 <= n_max:
+            packed[n0] += coeff << 8 * width * (k0 or 0)
+    shifts = [(dn, coeff, 8 * width * (dk or 0)) for dn, dk, coeff in rel.shift_terms]
     for n in range(n_max + 1):
-        value = 0
-        for n0, _, coeff in rel.delta_terms:
-            if n0 == n:
-                value += coeff
-        for dn, _, coeff in rel.shift_terms:
-            if n - dn >= 0:
-                value += coeff * seq[n - dn]
-        seq.append(value)
-    return tuple(seq)
+        for dn, coeff, s in shifts:
+            if dn <= n:
+                packed[n] += (coeff * packed[n - dn]) << s
+    if not rel.tracks_k:
+        return tuple(packed)
+    return _unpack(rel.spec, rel.metric.kind, packed, width)
+
+
+def _unpack(spec: CombSpec, kind: TriangleKind, packed: list[int], width: int) -> Triangle:
+    """The triangle whose row n sits in packed[n], entry k in bytes width*k onward."""
+    rows = []
+    for n, value in enumerate(packed):
+        raw = value.to_bytes(width * (n + 1), "little")
+        rows.append([
+            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+        ])
+    return Triangle.from_rows(spec, kind, rows)
 
 
 def _walks_home(dg: MetatileDigraph, metric: Metric, n_max: int, shift: int) -> list[int]:
@@ -281,13 +291,7 @@ def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
     for n in range(1, n_max + 1):
         bound.append(sum(a * bound[n - w] for w, a in most.items() if w <= n))
     width = -(-max(bound).bit_length() // 8)
-    rows = []
-    for n, packed in enumerate(_walks_home(dg, metric, n_max, 8 * width)):
-        raw = packed.to_bytes(width * (n + 1), "little")
-        rows.append([
-            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-        ])
-    return Triangle.from_rows(dg.spec, metric.kind, rows)
+    return _unpack(dg.spec, metric.kind, _walks_home(dg, metric, n_max, 8 * width), width)
 
 
 def walk_sums(dg: MetatileDigraph, metric: Metric, n_max: int) -> tuple[int, ...]:

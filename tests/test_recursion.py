@@ -22,10 +22,15 @@ from golden import (
     CELL_SUM_RELATIONS,
     CELL_SUMS,
     ENTRY_RELATIONS,
+    STRUCTURE_DIGESTS,
     TILE_SUM_RELATIONS,
     TILE_SUMS,
     TRIANGLES,
 )
+
+
+# the 11 families with m, t <= 6 whose cycle structure classifies
+CLASSIFIED = sorted(STRUCTURE_DIGESTS)
 
 
 def structure(m: int, t: int):
@@ -58,6 +63,15 @@ def test_relation_validation():
         RecursionRelation(spec, Metric.TILES, False, ((0, None, 1),), ((1, 0, 1),))
     with pytest.raises(ValueError):
         RecursionRelation(spec, Metric.TILES, True, (), ((1, -1, 1),))
+    # a tracked k may not reach past its row: dk <= dn and k0 <= n0
+    with pytest.raises(ValueError):
+        RecursionRelation(spec, Metric.TILES, True, ((0, 0, 1),), ((1, 2, 1),))
+    with pytest.raises(ValueError):
+        RecursionRelation(spec, Metric.TILES, True, ((0, 1, 1),), ())
+    # every synthesized relation, tracks-k or projected, meets both conditions
+    for m, t in CLASSIFIED:
+        for metric in Metric:
+            project_row_sum(synthesize(structure(m, t), metric))
 
 
 def test_synthesized_entry_relations_match_published():
@@ -143,6 +157,20 @@ def test_evaluate_sum_relations_reproduce_prefixes():
     for (m, t), seq in CELL_SUMS.items():
         rel = project_row_sum(synthesize(structure(m, t), Metric.CELLS))
         assert evaluate(rel, len(seq) - 1) == tuple(seq), (m, t)
+
+
+def test_evaluate_slots_at_byte_boundaries():
+    # a row of n_max + 1 entries packs into slots of n_max + 1 bits rounded up
+    # to bytes: 1 byte through row 7, 2 bytes from row 8, 9 bytes from row 64
+    for m, t in CLASSIFIED:
+        spec = CombSpec(m, t)
+        dg = build_digraph(spec)
+        for kind, metric in ((TriangleKind.TILE, Metric.TILES), (TriangleKind.BOARD, Metric.CELLS)):
+            rel = project_row_sum(synthesize(analyze_structure(dg), metric))
+            for rows in (1, 8, 9, 64, 65, 150):
+                got = engines.triangle(spec, kind, rows, "recursion")
+                assert got == engines.triangle(spec, kind, rows, "poly"), (m, t, kind, rows)
+                assert evaluate(rel, rows - 1) == walk_sums(dg, metric, rows - 1), (m, t, rows)
 
 
 def test_walk_count_matches_golden():
