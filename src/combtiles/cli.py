@@ -225,6 +225,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # counts are printed in full: lift the interpreter's cap on the digits of an
+    # int-to-str conversion (3.10.7 and later) while a command runs
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UnsupportedStructureError as exc:
@@ -233,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

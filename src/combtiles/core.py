@@ -11,8 +11,49 @@ gives two lower-triangular integer tables related by an index shift.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
+
+# native memoryview codes by item size, for reading packed slots one word each;
+# slots are laid out lowest byte first, so only a little-endian host reads words
+_WORDS = (
+    {memoryview(bytes(8)).cast(code).itemsize: code for code in "BHIQ"}
+    if sys.byteorder == "little"
+    else {}
+)
+
+
+def _slot_bytes(bits: int) -> int:
+    """Bytes per packed slot for entries below 2^bits.
+
+    A slot that fits a machine word is rounded up to 1, 2, 4 or 8 bytes, so
+    that :func:`_slot_reader` reads a whole band in one cast; a wider slot
+    takes whole bytes. Rounding only widens a slot, so every entry that fits
+    bits bits still fits.
+    """
+    size = -(-bits // 8)
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _slot_reader(size: int) -> Callable[[int, int], list[int]]:
+    """A reader of packed slots of ``size`` bytes, chosen once per table.
+
+    ``read(value, count)`` returns the lowest ``count`` slots of value >= 0,
+    lowest first: from one memoryview cast when the slots are word-sized,
+    from one ``int.from_bytes`` per slot when wider.
+    """
+    code = _WORDS.get(size)
+    if code:
+        def read(value: int, count: int) -> list[int]:
+            return memoryview(value.to_bytes(count * size, "little")).cast(code).tolist()
+    else:
+        from_bytes = int.from_bytes
+
+        def read(value: int, count: int) -> list[int]:
+            raw = value.to_bytes(count * size, "little")
+            return [from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    return read
 
 
 class Frozen:
@@ -143,8 +184,9 @@ class Triangle(Frozen):
         self, spec: CombSpec, kind: TriangleKind, rows: Iterable[Sequence[int]] = ()
     ) -> None:
         # from lists, not iterators: a tuple filled from an iterator is reallocated
-        # as it grows, which over many requests fragments a long-lived process's heap
-        frozen = tuple([tuple([*map(int, row)]) for row in rows])
+        # as it grows, which over many requests fragments a long-lived process's heap;
+        # entries are taken as given, and every engine yields Python ints
+        frozen = tuple([tuple(row) for row in rows])
         self._set(spec, kind, frozen)
         for n, row in enumerate(frozen):
             if len(row) != n + 1:

@@ -18,11 +18,13 @@ is what recursion synthesis consumes.
 from __future__ import annotations
 
 import json
+import re
 
 from .core import CombSpec, Frozen, comb_cells
 from .oracle import COMB, SQUARE, Tiling
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+_COMB_RUN = re.compile(re.escape(COMB) + "{2,}")
 
 # exhaustive cycle/walk enumeration is exponential on larger digraphs; a
 # fixed step budget turns a blow-up into a deterministic refusal
@@ -430,20 +432,7 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
 
 def compress_metatile(label: str) -> str:
     """Display form with comb runs shortened: CC becomes C squared, etc."""
-    out: list[str] = []
-    i = 0
-    while i < len(label):
-        ch = label[i]
-        j = i
-        while j < len(label) and label[j] == ch:
-            j += 1
-        run = j - i
-        if ch == COMB and run > 1:
-            out.append(ch + str(run).translate(_SUPERSCRIPTS))
-        else:
-            out.append(ch * run)
-        i = j
-    return "".join(out)
+    return _COMB_RUN.sub(lambda run: COMB + str(len(run[0])).translate(_SUPERSCRIPTS), label)
 
 
 def metatile_to_tiling(spec: CombSpec, labels: str) -> Tiling:

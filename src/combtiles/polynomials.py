@@ -16,7 +16,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import count, islice
 
-from .core import CombSpec, Frozen, TriangleKind
+from .core import CombSpec, Frozen, TriangleKind, _slot_bytes, _slot_reader
 
 
 class IntPolynomial(Frozen):
@@ -144,34 +144,6 @@ def _reversed_values(t: int, shift: int, mask: int) -> Iterator[int]:
         yield window[-1]
 
 
-def _factor_pairs(
-    m: int, family: Iterator[int], max_board: int, mask: int
-) -> Iterator[tuple[int, int]]:
-    """(F~_j^(m-r) & mask, F~_{j+1}^r & mask) for boards b = m*j + r = 0..max_board.
-
-    ``family`` yields F~_0, F~_1, ... (``_reversed_values``); the product of
-    a pair is P~_b at the family's point, mod mask. Only the powers F~_j^e
-    and F~_{j+1}^e (e <= m) are kept, and the powers of a new F~_{j+1} are
-    built only as far as a board up to max_board uses them, so the last
-    board builds none it does not use.
-    """
-
-    def powers(f: int, top: int) -> list[int]:
-        out = [1, f]
-        for _ in range(top - 1):
-            out.append(out[-1] * f & mask)
-        return out
-
-    high = powers(next(family), m)
-    for b in range(max_board + 1):
-        r = b % m
-        if r == 0:
-            low = high
-            if b < max_board:
-                high = powers(next(family), min(m, max_board - b))
-        yield low[m - r], high[r]
-
-
 def triangle_rows(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[int]]:
     """Rows 0..rows-1 of the tile or board triangle, from the top band of each board product.
 
@@ -189,21 +161,26 @@ def triangle_rows(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[in
     f~_j^(m-r) * f~_{j+1}^r (``_reversed_values``), whose degree-i
     coefficient is [x^(d-i)] P_b: degrees k0..d of P_b are the lowest
     L_b = d - k0 + 1 coefficients of P~_b. They are read as w-bit slots of
-    P~_b(2^w) mod 2^(L_b*w). Every family value and power is kept
-    mod 2^(B*w), B the largest L_b, and the two factors of each product
-    mod 2^(L_b*w). That is exact, for these reasons:
+    P~_b(2^w) mod 2^(L_b*w). Every family value is kept mod 2^(B*w), B the
+    largest L_b; the powers of F~_j mod 2^(M_j*w), M_j the largest L_b
+    among the boards m(j-1)+1 .. m(j+1)-1 that use them (as f~_j^r or
+    f~_j^(m-r)); and the two factors of each product mod 2^(L_b*w). That is
+    exact, for these reasons:
 
     - Every needed entry is below 2^w, where w is the smaller of R and the
-      bit length of P_last(1), rounded up to whole bytes, and last is the
-      last board with cells. An entry of row n < R counts tilings of at
-      most n tiles (n in the tile triangle, n - (t-1)k in the board
-      triangle), and a tiling is fixed by its sequence of tile types, since
-      each tile covers the leftmost cell still empty; so it is at most
-      2^n < 2^R. It is also at most P_b(1), the sum of the coefficients of
-      P_b, which are all >= 0. P_b(1) counts all tilings of a b-board,
-      which never falls as b grows: going from b to b + 1 replaces one
-      factor f_j(1) by f_{j+1}(1) >= f_j(1). So it is at most P_last(1).
-    - Reduction mod 2^L commutes with sums, products and shifts, so the
+      bit length of P_last(1), rounded up to a slot size
+      (``core._slot_bytes``: a word of 8, 16, 32 or 64 bits when one fits),
+      and last is the last board with cells. An entry of row n < R counts
+      tilings of at most n tiles (n in the tile triangle, n - (t-1)k in the
+      board triangle), and a tiling is fixed by its sequence of tile types,
+      since each tile covers the leftmost cell still empty; so it is at
+      most 2^n < 2^R. It is also at most P_b(1), the sum of the
+      coefficients of P_b, which are all >= 0. P_b(1) counts all tilings of
+      a b-board, which never falls as b grows: going from b to b + 1
+      replaces one factor f_j(1) by f_{j+1}(1) >= f_j(1). So it is at most
+      P_last(1). Rounding only widens the slots, so this still holds.
+    - Reduction mod 2^L commutes with sums, products and shifts, and
+      L_b <= M_j <= B for every board that uses a power of F~_j, so the
       truncated family, powers and factors give P~_b(2^w) mod 2^(L_b*w) as
       an exact integer identity.
     - P~_b(2^w) = sum_i c_i 2^(i*w) with every c_i >= 0. Carries only move
@@ -213,35 +190,81 @@ def triangle_rows(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[in
     - So slots above the band, in the products and in every intermediate
       value, may overflow without harm: only the final product's low L_b
       slots must stay below 2^w.
+
+    Boards run strand by strand, j outer and r inner. Within strand j the
+    degree d rises by one per board when t divides j + 1 (a rising strand)
+    and stays otherwise (a flat one), while k0 rises by at most one per
+    board. So L_b never falls along a rising strand and never rises along a
+    flat one, and M_j is the larger of the widest band of strand j (at its
+    first board if flat, its last if rising) and the widest of strand j - 1
+    past its first board (at its second board if flat, its last if rising).
+
+    Cell (n, k) sits at R + n + k*(R+s) = R + b + k*R of one column-major
+    list, so the band of board b, slot i at degree d - i, fills one slice
+    of stride -R; row n is the slice of stride R+s from R + n. A one-slot
+    band is the product mod 2^w itself and needs no read.
     """
     m, t = spec.m, spec.t
     s = t - 1 if kind is TriangleKind.TILE else 0
-    boards = range((s + 1) * (rows - 1) + 1)
-    degree = [(m - r) * (j // t) + r * ((j + 1) // t) for j, r in (divmod(b, m) for b in boards)]
-    # k0 = 0 below board R, and the board triangle (s = 0) ends at R - 1
-    first = [0] * rows + [(b - rows) // s + 1 for b in boards[rows:]]
-    last = max(b for b in boards if degree[b] >= first[b])
-    top = antidiagonal_sum_closed(spec, *divmod(last, m))
-    width = -(-min(rows, top.bit_length()) // 8)
-    # masks[L] keeps the lowest L slots; the last one the widest band, B slots
-    masks = [(1 << 8 * width * L) - 1 for L in range(max(map(int.__sub__, degree, first)) + 2)]
-    family = _reversed_values(t, 8 * width, masks[-1])
-    table = [[0] * (n + 1) for n in range(rows)]
-    from_bytes = int.from_bytes
-    for b, (low, high) in enumerate(_factor_pairs(m, family, last, masks[-1])):
-        d, k0 = degree[b], first[b]
-        if d < k0:
-            continue
-        band = masks[d - k0 + 1]
-        size = width * (d - k0 + 1)
-        raw = ((low & band) * (high & band) & band).to_bytes(size, "little")
-        # slot i is degree k = d - i, in row n = b - s*k
-        k, n = d, b - s * d
-        for i in range(0, size, width):
-            table[n][k] = from_bytes(raw[i : i + width], "little")
-            n += s
-            k -= 1
-    return table
+    boards = (s + 1) * (rows - 1) + 1
+    first = [0] * rows + [(b - rows) // s + 1 for b in range(rows, boards)]  # k0 by board
+
+    def band(b: int) -> int:
+        # L_b = d - k0 + 1, at most 0 for a board with no cells
+        j, r = divmod(b, m)
+        return (m - r) * (j // t) + r * ((j + 1) // t) + 1 - first[b]
+
+    last = next(b for b in range(boards - 1, -1, -1) if band(b) > 0)
+    strands = last // m + 1
+    # slots[j] = M_j, the widest band of strand j with that of strand j - 1
+    # past its first board; F~_strands serves only boards of the last strand
+    slots = [0] * (strands + 1)
+    for j in range(strands):
+        b, top, d = m * j, min(m - 1, last - m * j), m * (j // t)
+        if (j + 1) % t:
+            # a flat strand is widest at its first board, and past it at the next
+            widest, after = d + 1 - first[b], top and d + 1 - first[b + 1]
+        else:
+            # a rising strand is widest at its last board
+            widest = after = d + top + 1 - first[b + top]
+        slots[j] = max(slots[j], widest)
+        slots[j + 1] = max(after, 0) if top else 0
+
+    size = _slot_bytes(min(rows, antidiagonal_sum_closed(spec, *divmod(last, m)).bit_length()))
+    w = 8 * size
+    # masks[L] keeps the lowest L slots
+    masks = [(1 << w * L) - 1 for L in range(max(slots) + 1)]
+    family = _reversed_values(t, w, masks[-1])
+
+    def powers(f: int, top: int, mask: int) -> list[int]:
+        out = [1, f & mask]
+        for _ in range(top - 1):
+            out.append(out[-1] * out[1] & mask)
+        return out
+
+    read = _slot_reader(size)
+    cells = [0] * (rows * (rows + s + 1))
+    high = powers(next(family), m, masks[slots[0]])
+    for j in range(strands):
+        # F~_(j+1) and its powers only as far as a board up to last uses them
+        low, start = high, m * j
+        if start < last:
+            high = powers(next(family), min(m, last - start), masks[slots[j + 1]])
+        d, rise = m * (j // t), (j + 1) // t - j // t
+        # board start + r multiplies F~_j^(m-r) by F~_(j+1)^r
+        for b, f, g in zip(range(start, last + 1), low[:0:-1], high):
+            k0 = first[b]
+            if d == k0:
+                # a one-slot band is the product's lowest slot itself
+                cells[b + (d + 1) * rows] = f * g & masks[1]
+            elif d > k0:
+                count = d - k0 + 1
+                mask = masks[count]
+                product = (f & mask) * (g & mask) & mask
+                cells[b + (d + 1) * rows : b + k0 * rows : -rows] = read(product, count)
+            d += rise
+    stride = rows + s
+    return [cells[rows + n : rows + n + n * stride + 1 : stride] for n in range(rows)]
 
 
 def board_counts(spec: CombSpec, n: int) -> list[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 
-from .core import CombSpec, Frozen, Triangle, TriangleKind
+from .core import CombSpec, Frozen, Triangle, TriangleKind, _slot_bytes, _slot_reader
 from .digraph import Cycle, CycleStructure, MetatileDigraph, UnsupportedStructureError
 
 
@@ -191,11 +191,11 @@ def evaluate(rel: RecursionRelation, n_max: int) -> Triangle | tuple[int, ...]:
     sum over k of B(n,k) y^k obeys the relation as a polynomial identity and
     y = 2^w is a ring map, negative coefficients included. Entry (n, k)
     counts tilings of at most n tiles, so 0 <= B(n,k) <= 2^n < 2^w once w
-    is n_max + 1 bits, here rounded up to whole bytes.
+    is n_max + 1 bits, here rounded up to a slot size (``core._slot_bytes``).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    width = -(-(n_max + 1) // 8) if rel.tracks_k else 0
+    width = _slot_bytes(n_max + 1) if rel.tracks_k else 0
     packed = [0] * (n_max + 1)
     for n0, k0, coeff in rel.delta_terms:
         if n0 <= n_max:
@@ -211,14 +211,13 @@ def evaluate(rel: RecursionRelation, n_max: int) -> Triangle | tuple[int, ...]:
 
 
 def _unpack(spec: CombSpec, kind: TriangleKind, packed: list[int], width: int) -> Triangle:
-    """The triangle whose row n sits in packed[n], entry k in bytes width*k onward."""
-    rows = []
-    for n, value in enumerate(packed):
-        raw = value.to_bytes(width * (n + 1), "little")
-        rows.append([
-            int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-        ])
-    return Triangle.from_rows(spec, kind, rows)
+    """The triangle whose row n sits in packed[n], entry k in slot k of width bytes.
+
+    Each row is one read (``core._slot_reader``): one memoryview cast when
+    the slots are word-sized, one ``int.from_bytes`` per entry when wider.
+    """
+    read = _slot_reader(width)
+    return Triangle.from_rows(spec, kind, [read(value, n + 1) for n, value in enumerate(packed)])
 
 
 def _walks_home(dg: MetatileDigraph, metric: Metric, n_max: int, shift: int) -> list[int]:
@@ -271,8 +270,8 @@ def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
       cells a C-arc weighs more than one cell, and c_n is far smaller.
     - Slot k of the count at any node and weight n <= n_max counts some of
       the walks of weight n from 0, so it stays below 2^w once w is the bit
-      length of the largest c_n with n <= n_max, here rounded up to whole
-      bytes. Layers past weight n_max are never read.
+      length of the largest c_n with n <= n_max, here rounded up to a slot
+      size (``core._slot_bytes``). Layers past weight n_max are never read.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -290,7 +289,7 @@ def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
     bound = [1]
     for n in range(1, n_max + 1):
         bound.append(sum(a * bound[n - w] for w, a in most.items() if w <= n))
-    width = -(-max(bound).bit_length() // 8)
+    width = _slot_bytes(max(bound).bit_length())
     return _unpack(dg.spec, metric.kind, _walks_home(dg, metric, n_max, 8 * width), width)
 
 

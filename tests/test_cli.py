@@ -491,6 +491,28 @@ def test_output_is_deterministic(run):
     assert run("verify") == run("verify")
 
 
+def test_printed_counts_have_no_digit_cap(run):
+    # the last of 3100 Fibonacci board counts has 648 digits, past a cap of 640
+    fib = [1, 1]
+    while len(fib) < 3100:
+        fib.append(fib[-1] + fib[-2])
+    expected = " ".join(map(str, fib)) + "\n"
+    assert len(str(fib[-1])) == 648
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+    try:
+        result = run("sums", "--m", "1", "--t", "2", "--n", "3100", "--metric", "cells")
+        after = sys.get_int_max_str_digits() if capped else None
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(before)
+    assert result == (0, expected, "")
+    if capped:
+        assert after == 640
+
+
 def test_cold_start_avoids_heavy_stdlib_modules():
     # without site only the package's own imports count: a triangle and a
     # verify run must load none of these

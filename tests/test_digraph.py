@@ -305,6 +305,29 @@ def test_compress_metatile():
     assert compress_metatile("SS") == "SS"  # only comb runs are shortened
 
 
+def _compress_by_runs(label: str) -> str:
+    # the character-by-character run walk compress_metatile replaced
+    out = []
+    i = 0
+    while i < len(label):
+        j = i
+        while j < len(label) and label[j] == label[i]:
+            j += 1
+        run = j - i
+        if label[i] == "C" and run > 1:
+            out.append("C" + str(run).translate(digraph._SUPERSCRIPTS))
+        else:
+            out.append(label[i] * run)
+        i = j
+    return "".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="SC", max_size=60))
+def test_compress_metatile_matches_the_run_walk(label):
+    assert compress_metatile(label) == _compress_by_runs(label)
+
+
 def test_metatiles_replay_to_valid_tilings():
     for m, t in [(2, 3), (2, 4), (4, 2), (3, 2)]:
         spec = CombSpec(m, t)

@@ -252,6 +252,25 @@ def test_tile_rows_draw_no_value_past_the_last_band(m, monkeypatch):
             assert len(drawn) == last // m + 1 + (last % m > 0), (t, rows)
 
 
+def test_triangle_rows_at_slot_boundaries():
+    # R-bit slots on either side of a word size: rows 8|9, 16|17 and 32|33 on
+    # every family, and 64|65 (the last word and the first wide slot) on a few;
+    # the first rows of a table do not depend on how many rows it has
+    for m in range(1, 7):
+        for t in range(2, 7):
+            spec = CombSpec(m, t)
+            for kind in TriangleKind:
+                table = _table(spec, kind, 33)
+                for rows in (8, 9, 16, 17, 32, 33):
+                    assert triangle_rows(spec, kind, rows) == table[:rows], (m, t, kind, rows)
+    for m, t in [(1, 2), (2, 3), (3, 4), (6, 6)]:
+        spec = CombSpec(m, t)
+        for kind in TriangleKind:
+            table = _table(spec, kind, 65)
+            for rows in (64, 65):
+                assert triangle_rows(spec, kind, rows) == table[:rows], (m, t, kind, rows)
+
+
 @pytest.mark.parametrize(
     "m, t, kind, rows, bits",
     [
@@ -259,8 +278,10 @@ def test_tile_rows_draw_no_value_past_the_last_band(m, monkeypatch):
         (6, 6, TriangleKind.BOARD, 300, 104),
         # the board-count bound: P_last(1) has at most 8 bits, under R = 10
         (6, 6, TriangleKind.TILE, 10, 8),
-        # the row bound: 2^R with R = 50, under P_last(1)
-        (6, 6, TriangleKind.TILE, 50, 56),
+        # the row bound: 2^R with R = 50, under P_last(1); 56 bits round up to a word
+        (6, 6, TriangleKind.TILE, 50, 64),
+        # the row bound with R = 20: 24 bits round up to a 32-bit word
+        (6, 6, TriangleKind.TILE, 20, 32),
     ],
 )
 def test_triangle_rows_slot_width_is_the_smaller_bound(m, t, kind, rows, bits, monkeypatch):

@@ -161,16 +161,27 @@ def test_evaluate_sum_relations_reproduce_prefixes():
 
 def test_evaluate_slots_at_byte_boundaries():
     # a row of n_max + 1 entries packs into slots of n_max + 1 bits rounded up
-    # to bytes: 1 byte through row 7, 2 bytes from row 8, 9 bytes from row 64
+    # to a word or whole bytes: 1 byte through row 7, 2 bytes from row 8,
+    # 4 from row 16, 8 from row 32 and 9 from row 64
     for m, t in CLASSIFIED:
         spec = CombSpec(m, t)
         dg = build_digraph(spec)
         for kind, metric in ((TriangleKind.TILE, Metric.TILES), (TriangleKind.BOARD, Metric.CELLS)):
             rel = project_row_sum(synthesize(analyze_structure(dg), metric))
-            for rows in (1, 8, 9, 64, 65, 150):
+            for rows in (1, 8, 9, 16, 17, 32, 33, 63, 64, 65, 150):
                 got = engines.triangle(spec, kind, rows, "recursion")
                 assert got == engines.triangle(spec, kind, rows, "poly"), (m, t, kind, rows)
                 assert evaluate(rel, rows - 1) == walk_sums(dg, metric, rows - 1), (m, t, rows)
+
+
+def test_walk_matches_poly_around_the_widest_word():
+    # on tiles (2,3) has at most 2^n walks of weight n: rows 63 and 64 fill
+    # 8-byte words, and row 65 takes the first 9-byte slots
+    spec = CombSpec(2, 3)
+    for kind in TriangleKind:
+        for rows in (63, 64, 65):
+            poly = engines.triangle(spec, kind, rows, "poly")
+            assert engines.triangle(spec, kind, rows, "walk") == poly, (kind, rows)
 
 
 def test_walk_count_matches_golden():
