@@ -80,10 +80,13 @@ def _cmd_sums(args: argparse.Namespace) -> int:
 
 def _cmd_subsets(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    subsets = oracle.enumerate_restricted_subsets(spec, args.n, args.k)
     if args.count:
-        _emit(f"{len(subsets)}\n")
+        counts = oracle.subset_size_counts(spec, args.n, args.k)
+        if args.k is not None:
+            counts = counts[args.k : args.k + 1]
+        _emit(f"{sum(counts)}\n")
         return 0
+    subsets = oracle.enumerate_restricted_subsets(spec, args.n, args.k)
     if args.format == "json":
         _emit(json.dumps([list(s.members) for s in subsets]) + "\n")
     elif args.format == "csv":

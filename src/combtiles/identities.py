@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from . import engines
 from .core import CombSpec, Frozen, Triangle, TriangleKind, board_to_tile_index, max_combs
 from .digraph import CycleStructure, analyze_structure, build_digraph
-from .oracle import _board_comb_counts, enumerate_restricted_subsets
+from .oracle import _board_comb_counts, subset_size_counts
 from .polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
@@ -684,31 +684,29 @@ def _check_s_corollaries(p: GridProfile) -> CheckReport:
         pad = (t - 1) * m
         board = _triangle(spec, TriangleKind.BOARD, cap + pad)
         for n in range(cap + 1):
-            subsets = enumerate_restricted_subsets(spec, n)
-            by_k: dict[int, int] = {}
-            for sub in subsets:
-                by_k[sub.k] = by_k.get(sub.k, 0) + 1
+            by_k = subset_size_counts(spec, n)
             j, r = divmod(n, m)
             poly = bonacci_poly(t, j + t - 1) ** (m - r) * bonacci_poly(
                 t, j + t
             ) ** r
-            k_top = max(by_k) if by_k else 0
+            k_top = max(k for k, count in enumerate(by_k) if count)
             for k in range(max(k_top, poly.degree) + 1):
+                count = by_k[k] if k < len(by_k) else 0
                 rec.record(
                     f"m={m} t={t} n={n} k={k} coefficient",
                     poly.coefficient(k),
-                    by_k.get(k, 0),
+                    count,
                 )
                 rec.record(
                     f"m={m} t={t} n={n} k={k} board form",
                     board.entry(n + pad, k),
-                    by_k.get(k, 0),
+                    count,
                 )
             rec.record(
                 f"m={m} t={t} n={n} total",
                 bonacci_number(t, j + t - 1) ** (m - r)
                 * bonacci_number(t, j + t) ** r,
-                len(subsets),
+                sum(by_k),
             )
     return CheckReport(
         "s_corollaries",

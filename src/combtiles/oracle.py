@@ -1,23 +1,24 @@
 """Brute-force ground truth by exhaustive enumeration.
 
-Everything here works by explicitly constructing objects (tilings,
-restricted subsets) one at a time, so it is exponential and guarded by
-size limits, but it is the reference the faster engines are judged
-against. The two bijection witnesses (subsets to tilings, board splitting
-by residue class) live here too.
+Each shape (the tilings of a board, the gapless tilings with a given tile
+count, the restricted subsets of a universe) has one depth-first search
+over int bitmasks, bit c standing for cell or member c. A leaf of a
+search is one int whose set bits are a tiling's comb anchors or a
+subset's members. The counting paths tally leaves by ``bit_count()`` as
+the search yields them and build nothing; only the listings build and
+validate :class:`Tiling` and :class:`RestrictedSubset` objects, from the
+same masks. The searches are exponential and guarded by size limits, but
+they are the reference the faster engines are judged against. The two
+bijection witnesses (subsets to tilings, board splitting by residue
+class) live here too.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 
-from .core import (
-    CombSpec,
-    Frozen,
-    Triangle,
-    TriangleKind,
-    comb_cells,
-)
+from .core import CombSpec, Frozen, Triangle, TriangleKind
 
 SQUARE = "S"
 COMB = "C"
@@ -25,6 +26,11 @@ COMB = "C"
 DEFAULT_MAX_BOARD = 26
 DEFAULT_MAX_TILES = 22
 DEFAULT_MAX_UNIVERSE = 24
+
+
+def _comb_mask(spec: CombSpec) -> int:
+    """The cells of a comb anchored at cell 0: bits 0, m, ..., (t-1)m."""
+    return ((1 << spec.t * spec.m) - 1) // ((1 << spec.m) - 1)
 
 
 class Tiling(Frozen):
@@ -43,22 +49,30 @@ class Tiling(Frozen):
         self._set(spec, board_len, placements)
         if self.board_len < 0:
             raise ValueError("board_len must be >= 0")
-        covered: set[int] = set()
+        comb = _comb_mask(self.spec)
+        covered = 0  # bit c is cell base + c
+        base = 0
         prev_anchor = 0
         for kind, anchor in self.placements:
             if anchor <= prev_anchor:
                 raise ValueError("placements must be in ascending anchor order")
             prev_anchor = anchor
             if kind == SQUARE:
-                cells = {anchor}
+                shape = 1
             elif kind == COMB:
-                cells = set(comb_cells(self.spec, anchor))
+                shape = comb
             else:
                 raise ValueError(f"unknown tile kind {kind!r}")
+            if anchor > self.board_len and anchor - base >= covered.bit_length():
+                # past the board and past every covered cell: no later tile can
+                # meet the cells below it, so drop them rather than shift that
+                # far; bit 0, never a board cell, then fails the cover test
+                covered, base = 0, anchor
+            cells = shape << anchor - base
             if covered & cells:
                 raise ValueError(f"tile at {anchor} overlaps occupied cells")
             covered |= cells
-        if covered != set(range(1, self.board_len + 1)):
+        if covered != (2 << self.board_len) - 2:
             raise ValueError("tiles do not cover the board exactly")
 
     @property
@@ -70,6 +84,92 @@ class Tiling(Frozen):
         return sum(1 for kind, _ in self.placements if kind == COMB)
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask >= 0, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _tiling(spec: CombSpec, board_len: int, anchors: int) -> Tiling:
+    """The tiling with combs at the set bits of anchors and squares elsewhere."""
+    # combs that do not overlap add without a carry, so the product is their cells
+    squares = ((2 << board_len) - 2) & ~(anchors * _comb_mask(spec))
+    placements = [
+        (COMB, c) if anchors >> c & 1 else (SQUARE, c) for c in _bits(anchors | squares)
+    ]
+    return Tiling(spec, board_len, tuple(placements))
+
+
+def _histogram(masks: Iterable[int], size: int) -> list[int]:
+    """Entry j counts the masks with j set bits (combs, or members)."""
+    counts = [0] * size
+    for mask in masks:
+        counts[mask.bit_count()] += 1
+    return counts
+
+
+def _board_masks(spec: CombSpec, board_len: int, max_board: int) -> Iterator[int]:
+    """Comb-anchor masks of all tilings of a board, square branch first.
+
+    The search fills the leftmost empty cell with a square or with a comb
+    anchored there. The cells past the board start out occupied, so one
+    AND refuses a comb that overlaps a tile or runs off the board, and a
+    leaf is a fully occupied mask.
+    """
+    if board_len < 0:
+        raise ValueError("board_len must be >= 0")
+    if board_len > max_board:
+        raise ValueError(
+            f"board_len {board_len} exceeds the enumeration limit {max_board}"
+        )
+    comb = _comb_mask(spec)
+    full = (2 << (board_len + (spec.t - 1) * spec.m)) - 1
+    stack = [(full ^ ((2 << board_len) - 2), 0)]  # (occupied, anchors); bit 0 is set
+    pop, push = stack.pop, stack.append
+    while stack:
+        occupied, anchors = pop()
+        if occupied == full:
+            yield anchors
+            continue
+        cell = ~occupied & (occupied + 1)  # the leftmost empty cell
+        teeth = comb * cell
+        if not occupied & teeth:
+            push((occupied | teeth, anchors | cell))
+        push((occupied | cell, anchors))
+
+
+def _tile_masks(spec: CombSpec, n_tiles: int, max_tiles: int) -> Iterator[int]:
+    """Comb-anchor masks of all gapless tilings with n_tiles tiles, square first.
+
+    The search fills the leftmost empty cell n_tiles times, with a square or
+    a comb anchored there, and keeps a leaf when its occupied cells run from
+    cell 1 with no gap. A leaf with k combs covers n_tiles + (t-1)k cells.
+    """
+    if n_tiles < 0:
+        raise ValueError("n_tiles must be >= 0")
+    if n_tiles > max_tiles:
+        raise ValueError(f"n_tiles {n_tiles} exceeds the enumeration limit {max_tiles}")
+    comb = _comb_mask(spec)
+    stack = [(1, 0, n_tiles)]  # (occupied, anchors, tiles left); bit 0 is set
+    pop, push = stack.pop, stack.append
+    while stack:
+        occupied, anchors, left = pop()
+        cell = ~occupied & (occupied + 1)  # the leftmost empty cell
+        if not left:
+            if occupied + 1 == cell:
+                yield anchors
+            continue
+        left -= 1
+        teeth = comb * cell
+        if not occupied & teeth:
+            push((occupied | teeth, anchors | cell, left))
+        push((occupied | cell, anchors, left))
+
+
 def enumerate_tilings(
     spec: CombSpec, board_len: int, *, max_board: int = DEFAULT_MAX_BOARD
 ) -> list[Tiling]:
@@ -79,41 +179,7 @@ def enumerate_tilings(
     anchored there (square branch first), so the output order is canonical
     and no tiling is produced twice. The empty board yields the empty tiling.
     """
-    if board_len < 0:
-        raise ValueError("board_len must be >= 0")
-    if board_len > max_board:
-        raise ValueError(
-            f"board_len {board_len} exceeds the enumeration limit {max_board}"
-        )
-    m, t = spec.m, spec.t
-    occ = bytearray(board_len + 1)  # 1-based
-    placements: list[tuple[str, int]] = []
-    out: list[Tiling] = []
-
-    def rec(scan: int) -> None:
-        p = scan
-        while p <= board_len and occ[p]:
-            p += 1
-        if p > board_len:
-            out.append(Tiling(spec, board_len, tuple(placements)))
-            return
-        occ[p] = 1
-        placements.append((SQUARE, p))
-        rec(p + 1)
-        placements.pop()
-        occ[p] = 0
-        teeth = [p + i * m for i in range(t)]
-        if teeth[-1] <= board_len and not any(occ[c] for c in teeth):
-            for c in teeth:
-                occ[c] = 1
-            placements.append((COMB, p))
-            rec(p + 1)
-            placements.pop()
-            for c in teeth:
-                occ[c] = 0
-
-    rec(1)
-    return out
+    return [_tiling(spec, board_len, a) for a in _board_masks(spec, board_len, max_board)]
 
 
 def enumerate_tile_tilings(
@@ -125,51 +191,18 @@ def enumerate_tile_tilings(
     by tile count: the leftmost empty cell is filled with a square or a comb
     until n_tiles tiles are down, and the result is kept when no gap remains.
     """
-    if n_tiles < 0:
-        raise ValueError("n_tiles must be >= 0")
-    if n_tiles > max_tiles:
-        raise ValueError(f"n_tiles {n_tiles} exceeds the enumeration limit {max_tiles}")
-    m, t = spec.m, spec.t
-    occupied: set[int] = set()
-    placements: list[tuple[str, int]] = []
-    out: list[Tiling] = []
-
-    def next_empty(after: int) -> int:
-        p = after
-        while p in occupied:
-            p += 1
-        return p
-
-    def rec(frontier: int, last: int, used: int) -> None:
-        if used == n_tiles:
-            if frontier == last + 1:
-                out.append(Tiling(spec, last, tuple(placements)))
-            return
-        occupied.add(frontier)
-        placements.append((SQUARE, frontier))
-        rec(next_empty(frontier + 1), max(last, frontier), used + 1)
-        placements.pop()
-        occupied.remove(frontier)
-        teeth = [frontier + i * m for i in range(t)]
-        if not any(c in occupied for c in teeth):
-            occupied.update(teeth)
-            placements.append((COMB, frontier))
-            rec(next_empty(frontier + 1), max(last, teeth[-1]), used + 1)
-            placements.pop()
-            occupied.difference_update(teeth)
-
-    rec(1, 0, 0)
-    return out
+    pad = spec.t - 1
+    return [
+        _tiling(spec, n_tiles + pad * a.bit_count(), a)
+        for a in _tile_masks(spec, n_tiles, max_tiles)
+    ]
 
 
 # holds every (spec, board) the full identity profile enumerates (248 keys)
 @functools.lru_cache(maxsize=512)
 def _board_comb_counts(spec: CombSpec, board_len: int) -> tuple[int, ...]:
     # counts by comb count k = 0..board_len; caller is responsible for limits
-    counts = [0] * (board_len + 1)
-    for tl in enumerate_tilings(spec, board_len, max_board=board_len):
-        counts[tl.n_combs] += 1
-    return tuple(counts)
+    return tuple(_histogram(_board_masks(spec, board_len, board_len), board_len + 1))
 
 
 def build_triangle(
@@ -200,12 +233,7 @@ def build_triangle(
 
     if rows - 1 > max_tiles:
         raise ValueError(f"{rows} rows exceeds the tile limit {max_tiles}")
-    table = []
-    for n in range(rows):
-        counts = [0] * (n + 1)
-        for tl in enumerate_tile_tilings(spec, n, max_tiles=max_tiles):
-            counts[tl.n_combs] += 1
-        table.append(counts)
+    table = [_histogram(_tile_masks(spec, n, max_tiles), n + 1) for n in range(rows)]
     for n in range(rows):
         for k in range(n + 1):
             board = n + (spec.t - 1) * k
@@ -228,7 +256,6 @@ class RestrictedSubset(Frozen):
         self._set(spec, n, members)
         if self.n < 0:
             raise ValueError("universe size must be >= 0")
-        banned = {q * self.spec.m for q in range(1, self.spec.t)}
         prev = 0
         for v in self.members:
             if v <= prev:
@@ -236,14 +263,65 @@ class RestrictedSubset(Frozen):
             prev = v
         if self.members and not 1 <= self.members[0] <= self.members[-1] <= self.n:
             raise ValueError(f"members must lie in 1..{self.n}")
-        for i, a in enumerate(self.members):
-            for b in self.members[i + 1 :]:
-                if b - a in banned:
-                    raise ValueError(f"members {a} and {b} differ by a banned amount")
+        # each member's banned offsets against one mask of all members, so the
+        # pair named is the first in (a, b) order
+        ban = _comb_mask(self.spec) ^ 1  # offsets m, 2m, ..., (t-1)m
+        mask = 0
+        for v in self.members:
+            mask |= 1 << v
+        for a in self.members:
+            clash = mask & ban << a
+            if clash:
+                b = (clash & -clash).bit_length() - 1
+                raise ValueError(f"members {a} and {b} differ by a banned amount")
 
     @property
     def k(self) -> int:
         return len(self.members)
+
+
+def _subset_masks(
+    spec: CombSpec, n: int, most: int | None, max_universe: int
+) -> Iterator[int]:
+    """Member masks of the restricted subsets of {1..n}, lexicographic.
+
+    Only subsets of at most ``most`` members are searched (all when None).
+    A stack entry is a subset already yielded with the candidates it may
+    still take. Taking the lowest candidate v yields the child and drops
+    v + m, ..., v + (t-1)m from the child's candidates, a running banned
+    mask in place of a test of every pair; v's later siblings stay below
+    it on the stack.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > max_universe:
+        raise ValueError(f"universe {n} exceeds the enumeration limit {max_universe}")
+    if most is not None and most < 0:
+        raise ValueError("k must be >= 0")
+    ban = _comb_mask(spec) ^ 1  # offsets m, 2m, ..., (t-1)m
+    yield 0
+    stack = [(0, (2 << n) - 2, n if most is None else most)]  # (members, candidates, room)
+    pop, push = stack.pop, stack.append
+    while stack:
+        members, free, room = pop()
+        if not free or not room:
+            continue
+        v = free & -free
+        free ^= v
+        push((members, free, room))
+        members |= v
+        yield members
+        push((members, free & ~(ban * v), room - 1))
+
+
+def subset_size_counts(spec: CombSpec, n: int, k: int | None = None) -> list[int]:
+    """Entry j counts the restricted subsets of {1..n} with j members, j = 0..n.
+
+    One search over member masks, with no subset built. With k given the
+    search stops at k members, so the entries past k read 0. The checks and
+    default limit are those of :func:`enumerate_restricted_subsets`.
+    """
+    return _histogram(_subset_masks(spec, n, k, DEFAULT_MAX_UNIVERSE), n + 1)
 
 
 def enumerate_restricted_subsets(
@@ -257,31 +335,11 @@ def enumerate_restricted_subsets(
 
     With k given, only subsets of that size are produced.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > max_universe:
-        raise ValueError(f"universe {n} exceeds the enumeration limit {max_universe}")
-    if k is not None and k < 0:
-        raise ValueError("k must be >= 0")
-    banned = {q * spec.m for q in range(1, spec.t)}
-    chosen: list[int] = []
-    out: list[RestrictedSubset] = []
-
-    def rec(start: int) -> None:
-        if k is None:
-            out.append(RestrictedSubset(spec, n, tuple(chosen)))
-        elif len(chosen) == k:
-            out.append(RestrictedSubset(spec, n, tuple(chosen)))
-            return
-        for v in range(start, n + 1):
-            if any(v - c in banned for c in chosen):
-                continue
-            chosen.append(v)
-            rec(v + 1)
-            chosen.pop()
-
-    rec(1)
-    return out
+    return [
+        RestrictedSubset(spec, n, tuple(_bits(mask)))
+        for mask in _subset_masks(spec, n, k, max_universe)
+        if k is None or mask.bit_count() == k
+    ]
 
 
 def subset_to_tiling(subset: RestrictedSubset) -> Tiling:
@@ -292,17 +350,14 @@ def subset_to_tiling(subset: RestrictedSubset) -> Tiling:
     what makes the combs avoid each other, so the construction never overlaps.
     """
     spec = subset.spec
-    board = subset.n + (spec.t - 1) * spec.m
-    covered: set[int] = set()
+    comb = _comb_mask(spec)
+    covered = anchors = 0
     for a in subset.members:
-        cells = comb_cells(spec, a)
-        if covered & cells:
+        if covered & comb << a:
             raise ValueError(f"comb at {a} overlaps another comb (invalid subset)")
-        covered |= cells
-    placements = [(COMB, a) for a in subset.members]
-    placements += [(SQUARE, c) for c in range(1, board + 1) if c not in covered]
-    placements.sort(key=lambda pl: pl[1])
-    return Tiling(spec, board, tuple(placements))
+        covered |= comb << a
+        anchors |= 1 << a
+    return _tiling(spec, subset.n + (spec.t - 1) * spec.m, anchors)
 
 
 def tiling_to_subset(tiling: Tiling) -> RestrictedSubset:

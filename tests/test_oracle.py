@@ -12,12 +12,17 @@ from combtiles.oracle import (
     SQUARE,
     RestrictedSubset,
     Tiling,
+    _board_comb_counts,
+    _board_masks,
+    _histogram,
+    _tile_masks,
     build_triangle,
     enumerate_restricted_subsets,
     enumerate_tile_tilings,
     enumerate_tilings,
     join_boards,
     split_board,
+    subset_size_counts,
     subset_to_tiling,
     tiling_to_subset,
 )
@@ -27,6 +32,101 @@ from golden import CELL_SUMS, TILE_SUMS, TRIANGLES
 small_specs = st.builds(
     CombSpec, m=st.integers(min_value=1, max_value=4), t=st.integers(min_value=2, max_value=5)
 )
+
+GRID = [CombSpec(m, t) for m in range(1, 7) for t in range(2, 7)]
+
+
+# The enumerators as they were before they searched over int masks, kept as
+# references: they return (board length, placements) and member tuples in
+# their own generation order, and build no object.
+
+
+def _occupancy_board_tilings(spec, board_len):
+    m, t = spec.m, spec.t
+    occ = bytearray(board_len + 1)  # 1-based
+    placements: list[tuple[str, int]] = []
+    out = []
+
+    def rec(scan: int) -> None:
+        p = scan
+        while p <= board_len and occ[p]:
+            p += 1
+        if p > board_len:
+            out.append((board_len, tuple(placements)))
+            return
+        occ[p] = 1
+        placements.append((SQUARE, p))
+        rec(p + 1)
+        placements.pop()
+        occ[p] = 0
+        teeth = [p + i * m for i in range(t)]
+        if teeth[-1] <= board_len and not any(occ[c] for c in teeth):
+            for c in teeth:
+                occ[c] = 1
+            placements.append((COMB, p))
+            rec(p + 1)
+            placements.pop()
+            for c in teeth:
+                occ[c] = 0
+
+    rec(1)
+    return out
+
+
+def _occupancy_tile_tilings(spec, n_tiles):
+    m, t = spec.m, spec.t
+    occupied: set[int] = set()
+    placements: list[tuple[str, int]] = []
+    out = []
+
+    def next_empty(after: int) -> int:
+        p = after
+        while p in occupied:
+            p += 1
+        return p
+
+    def rec(frontier: int, last: int, used: int) -> None:
+        if used == n_tiles:
+            if frontier == last + 1:
+                out.append((last, tuple(placements)))
+            return
+        occupied.add(frontier)
+        placements.append((SQUARE, frontier))
+        rec(next_empty(frontier + 1), max(last, frontier), used + 1)
+        placements.pop()
+        occupied.remove(frontier)
+        teeth = [frontier + i * m for i in range(t)]
+        if not any(c in occupied for c in teeth):
+            occupied.update(teeth)
+            placements.append((COMB, frontier))
+            rec(next_empty(frontier + 1), max(last, teeth[-1]), used + 1)
+            placements.pop()
+            occupied.difference_update(teeth)
+
+    rec(1, 0, 0)
+    return out
+
+
+def _pairwise_subsets(spec, n, k=None):
+    banned = {q * spec.m for q in range(1, spec.t)}
+    chosen: list[int] = []
+    out = []
+
+    def rec(start: int) -> None:
+        if k is None:
+            out.append(tuple(chosen))
+        elif len(chosen) == k:
+            out.append(tuple(chosen))
+            return
+        for v in range(start, n + 1):
+            if any(v - c in banned for c in chosen):
+                continue
+            chosen.append(v)
+            rec(v + 1)
+            chosen.pop()
+
+    rec(1)
+    return out
 
 
 def test_tiling_validation():
@@ -39,8 +139,55 @@ def test_tiling_validation():
         Tiling(spec, 5, ((SQUARE, 1), (COMB, 2), (SQUARE, 3), (SQUARE, 5)))
     with pytest.raises(ValueError, match="ascending"):
         Tiling(spec, 2, ((SQUARE, 2), (SQUARE, 1)))
+    # a tile past the board still reports a later collision with it
+    with pytest.raises(ValueError, match="tile at 6 overlaps"):
+        Tiling(spec, 5, ((COMB, 4), (SQUARE, 6)))
+    huge = 10**18
+    with pytest.raises(ValueError, match=f"tile at {huge + 2} overlaps"):
+        Tiling(spec, 5, ((COMB, 1), (COMB, huge), (SQUARE, huge + 2)))
+    with pytest.raises(ValueError, match="cover"):
+        Tiling(spec, 5, ((SQUARE, 1), (SQUARE, huge), (COMB, 2 * huge)))
     ok = Tiling(spec, 5, ((COMB, 1), (SQUARE, 2), (SQUARE, 4)))
     assert ok.n_tiles == 3 and ok.n_combs == 1
+
+
+def _set_tiling_error(spec, board_len, placements):
+    # Tiling's checks as they were over sets of cells, in the same order
+    covered: set[int] = set()
+    prev = 0
+    for kind, anchor in placements:
+        if anchor <= prev:
+            return "placements must be in ascending anchor order"
+        prev = anchor
+        cells = {anchor + i * spec.m for i in range(spec.t if kind == COMB else 1)}
+        if covered & cells:
+            return f"tile at {anchor} overlaps occupied cells"
+        covered |= cells
+    if covered != set(range(1, board_len + 1)):
+        return "tiles do not cover the board exactly"
+    return None
+
+
+def test_tiling_errors_match_set_checks():
+    # every list of up to three tiles anchored at 0..7, on boards short enough
+    # that some tiles land past the end
+    tiles = [(kind, a) for a in range(8) for kind in (SQUARE, COMB)]
+    lists = [()] + [(x,) for x in tiles]
+    lists += [(x, y) for x in tiles for y in tiles]
+    lists += [(x, y, z) for x in tiles for y in tiles for z in tiles]
+    for spec in (CombSpec(1, 2), CombSpec(2, 3)):
+        for board_len in (0, 5):
+            for placements in lists:
+                try:
+                    Tiling(spec, board_len, placements)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == _set_tiling_error(spec, board_len, placements), (
+                    spec,
+                    board_len,
+                    placements,
+                )
 
 
 def test_board_counts_match_published_sums():
@@ -60,6 +207,70 @@ def test_tilings_are_distinct_and_canonically_ordered():
     order = {SQUARE: 0, COMB: 1}
     mapped = [tuple((a, order[k]) for k, a in pl) for pl in keys]
     assert mapped == sorted(mapped)
+
+
+def _by_size(sizes, size):
+    counts = [0] * size
+    for j in sizes:
+        counts[j] += 1
+    return counts
+
+
+# On boards <= 14, tile counts <= 9 and universes <= 14 for every m, t <= 6, each
+# listing must equal the reference enumerator placement for placement and in
+# order, and the leaf counts of the mask search, which build no object, must equal
+# the counts of the listing's validated objects.
+
+
+def test_board_search_on_the_grid():
+    for spec in GRID:
+        for board_len in range(15):
+            tilings = enumerate_tilings(spec, board_len)
+            got = [(tl.board_len, tl.placements) for tl in tilings]
+            assert got == _occupancy_board_tilings(spec, board_len), (spec, board_len)
+            assert _histogram(_board_masks(spec, board_len, 14), board_len + 1) == _by_size(
+                [tl.n_combs for tl in tilings], board_len + 1
+            ), (spec, board_len)
+
+
+def test_tile_search_on_the_grid():
+    for spec in GRID:
+        for n in range(10):
+            tilings = enumerate_tile_tilings(spec, n)
+            got = [(tl.board_len, tl.placements) for tl in tilings]
+            assert got == _occupancy_tile_tilings(spec, n), (spec, n)
+            assert all(tl.n_tiles == n for tl in tilings)
+            assert _histogram(_tile_masks(spec, n, 9), n + 1) == _by_size(
+                [tl.n_combs for tl in tilings], n + 1
+            ), (spec, n)
+
+
+def test_subset_search_on_the_grid():
+    for spec in GRID:
+        for n in range(15):
+            subsets = enumerate_restricted_subsets(spec, n)
+            members = [sub.members for sub in subsets]
+            assert members == _pairwise_subsets(spec, n), (spec, n)
+            assert subset_size_counts(spec, n) == _by_size([sub.k for sub in subsets], n + 1)
+            if n == 12:
+                for k in range(5):
+                    got = [sub.members for sub in enumerate_restricted_subsets(spec, n, k)]
+                    assert got == _pairwise_subsets(spec, n, k), (spec, k)
+        for n, k in ((0, 0), (5, 0), (9, 2), (12, 4), (6, 6), (4, 7)):
+            counts = subset_size_counts(spec, n, k)
+            assert counts[k + 1 :] == [0] * (n - k)
+            assert sum(counts[k : k + 1]) == len(_pairwise_subsets(spec, n, k)), (spec, n, k)
+
+
+def test_subset_sizes_count_combs_on_the_padded_board():
+    # the paper's bijection: k-subsets of {1..n} <-> tilings of an
+    # (n + (t-1)m)-board with k combs
+    for spec in GRID:
+        pad = (spec.t - 1) * spec.m
+        for n in range(13):
+            combs = _board_comb_counts(spec, n + pad)
+            assert subset_size_counts(spec, n) == list(combs[: n + 1]), (spec, n)
+            assert not any(combs[n + 1 :]), (spec, n)
 
 
 def test_tile_indexed_enumeration_matches_board_route():
