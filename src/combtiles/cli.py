@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 
 from . import engines, oracle
 from .core import CombSpec, TriangleKind
@@ -86,14 +88,27 @@ def _cmd_subsets(args: argparse.Namespace) -> int:
             counts = counts[args.k : args.k + 1]
         _emit(f"{sum(counts)}\n")
         return 0
-    subsets = oracle.enumerate_restricted_subsets(spec, args.n, args.k)
-    if args.format == "json":
-        _emit(json.dumps([list(s.members) for s in subsets]) + "\n")
-    elif args.format == "csv":
-        _emit("".join(",".join(str(v) for v in s.members) + "\n" for s in subsets))
-    else:
-        _emit("".join("{" + ",".join(str(v) for v in s.members) + "}\n" for s in subsets))
+    # the listing is written as the search yields it, so it holds a few
+    # thousand subsets at a time; a write per subset would cost a system call
+    # per subset on an unbuffered stdout. A refused request raises before the
+    # first subset and writes nothing.
+    pieces = _subset_pieces(oracle.iter_restricted_subsets(spec, args.n, args.k), args.format)
+    while chunk := "".join(itertools.islice(pieces, 4096)):
+        _emit(chunk)
     return 0
+
+
+def _subset_pieces(subsets: Iterator[oracle.RestrictedSubset], fmt: str) -> Iterator[str]:
+    if fmt != "json":
+        line = "{}\n" if fmt == "csv" else "{{{}}}\n"
+        for s in subsets:
+            yield line.format(",".join(map(str, s.members)))
+        return
+    sep = "["
+    for s in subsets:
+        yield sep + json.dumps(s.members)
+        sep = ", "
+    yield "[]\n" if sep == "[" else "]\n"
 
 
 def _cmd_digraph(args: argparse.Namespace) -> int:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import re
 
-from .core import CombSpec, Frozen, comb_cells
-from .oracle import COMB, SQUARE, Tiling
+from .core import CombSpec, Frozen
+from .oracle import COMB, SQUARE, Tiling, _comb_mask, _tiling
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _COMB_RUN = re.compile(re.escape(COMB) + "{2,}")
@@ -196,7 +196,7 @@ def build_digraph(spec: CombSpec) -> MetatileDigraph:
     """
     tiles = (
         (SQUARE, 1, 1, 0),
-        (COMB, sum(1 << (i * spec.m) for i in range(spec.t)), spec.t, 1),
+        (COMB, _comb_mask(spec), spec.t, 1),
     )
     moves: dict[int, list[tuple[int, str, int, int]]] = {0: []}
     queue = [0]
@@ -436,28 +436,26 @@ def compress_metatile(label: str) -> str:
 
 
 def metatile_to_tiling(spec: CombSpec, labels: str) -> Tiling:
-    """Replay a label string as tile placements on a fresh board."""
-    occupied: set[int] = set()
-    placements: list[tuple[str, int]] = []
-    frontier = 1
-    last = 0
+    """Replay a label string as tile placements on a fresh board.
+
+    Each tile goes at the leftmost empty cell, as in the oracle's tile
+    search, so no two tiles overlap; the board is the cells covered, and
+    they must run from cell 1 with no gap.
+    """
+    comb = _comb_mask(spec)
+    occupied, anchors = 1, 0  # bit c is cell c; bit 0 is set
     for ch in labels:
-        if ch == SQUARE:
-            cells = frozenset({frontier})
-        elif ch == COMB:
-            cells = comb_cells(spec, frontier)
+        cell = ~occupied & (occupied + 1)  # the leftmost empty cell
+        if ch == COMB:
+            occupied |= comb * cell
+            anchors |= cell
+        elif ch == SQUARE:
+            occupied |= cell
         else:
             raise ValueError(f"unknown tile kind {ch!r}")
-        if occupied & cells:
-            raise ValueError("label string places overlapping tiles")
-        occupied |= cells
-        placements.append((ch, frontier))
-        last = max(last, max(cells))
-        while frontier in occupied:
-            frontier += 1
-    if frontier != last + 1:
+    if occupied & (occupied + 1):
         raise ValueError("label string leaves a gap in the board")
-    return Tiling(spec, last, tuple(placements))
+    return _tiling(spec, occupied.bit_length() - 1, anchors)
 
 
 def export_dot(dg: MetatileDigraph) -> str:

@@ -634,11 +634,7 @@ def _check_poly_coeff(p: GridProfile) -> CheckReport:
             counts = _board_comb_counts(omino, n)
             poly = bonacci_poly(t, n)
             for k in range(n + 1):
-                rec.record(
-                    f"t={t} n={n} k={k}",
-                    counts[k] if k < len(counts) else 0,
-                    poly.coefficient(k),
-                )
+                rec.record(f"t={t} n={n} k={k}", counts[k], poly.coefficient(k))
     return CheckReport(
         "poly_coeff", f"t<={p.max_t} n<={cap} (enumerated)", rec.cases, tuple(rec.failures)
     )
@@ -662,11 +658,10 @@ def _check_tpoly(p: GridProfile) -> CheckReport:
                         board.entry(n_board, k),
                     )
                     if n_board <= oracle_cap:
-                        counts = _board_comb_counts(spec, n_board)
                         rec.record(
                             f"m={m} t={t} j={j} r={r} k={k} enumerated",
                             expected,
-                            counts[k] if k < len(counts) else 0,
+                            _board_comb_counts(spec, n_board)[k],
                         )
     return CheckReport(
         "tpoly",
@@ -745,18 +740,17 @@ def check_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def run_check(name: str, profile: str | GridProfile = "quick") -> CheckReport:
-    if isinstance(profile, str):
-        try:
-            profile = PROFILES[profile]
-        except KeyError:
-            raise ValueError(f"unknown profile {profile!r}") from None
+def run_check(name: str, profile: str = "quick") -> CheckReport:
+    try:
+        grid = PROFILES[profile]
+    except KeyError:
+        raise ValueError(f"unknown profile {profile!r}") from None
     try:
         fn = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r}") from None
-    return fn(profile)
+    return fn(grid)
 
 
-def run_suite(profile: str | GridProfile = "quick") -> list[CheckReport]:
+def run_suite(profile: str = "quick") -> list[CheckReport]:
     return [run_check(name, profile) for name in _REGISTRY]

@@ -10,7 +10,7 @@ validate :class:`Tiling` and :class:`RestrictedSubset` objects, from the
 same masks. The searches are exponential and guarded by size limits, but
 they are the reference the faster engines are judged against. The two
 bijection witnesses (subsets to tilings, board splitting by residue
-class) live here too.
+class) live here too, and build their tilings from anchor masks as well.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .core import CombSpec, Frozen, Triangle, TriangleKind
 SQUARE = "S"
 COMB = "C"
 
-DEFAULT_MAX_BOARD = 26
-DEFAULT_MAX_TILES = 22
-DEFAULT_MAX_UNIVERSE = 24
+# the enumeration caps: larger requests are refused, not truncated
+MAX_BOARD = 26
+MAX_TILES = 22
+MAX_UNIVERSE = 24
 
 
 def _comb_mask(spec: CombSpec) -> int:
@@ -112,20 +113,16 @@ def _histogram(masks: Iterable[int], size: int) -> list[int]:
     return counts
 
 
-def _board_masks(spec: CombSpec, board_len: int, max_board: int) -> Iterator[int]:
+def _board_masks(spec: CombSpec, board_len: int) -> Iterator[int]:
     """Comb-anchor masks of all tilings of a board, square branch first.
 
     The search fills the leftmost empty cell with a square or with a comb
-    anchored there. The cells past the board start out occupied, so one
-    AND refuses a comb that overlaps a tile or runs off the board, and a
-    leaf is a fully occupied mask.
+    anchored there. The cells past the board start out occupied, and a
+    leaf is a fully occupied mask. The board is not capped here: callers
+    bound it.
     """
     if board_len < 0:
         raise ValueError("board_len must be >= 0")
-    if board_len > max_board:
-        raise ValueError(
-            f"board_len {board_len} exceeds the enumeration limit {max_board}"
-        )
     comb = _comb_mask(spec)
     full = (2 << (board_len + (spec.t - 1) * spec.m)) - 1
     stack = [(full ^ ((2 << board_len) - 2), 0)]  # (occupied, anchors); bit 0 is set
@@ -137,22 +134,27 @@ def _board_masks(spec: CombSpec, board_len: int, max_board: int) -> Iterator[int
             continue
         cell = ~occupied & (occupied + 1)  # the leftmost empty cell
         teeth = comb * cell
+        # a comb at the leftmost empty cell never meets an earlier tile (see
+        # _tile_masks), so this refuses only a comb that runs off the board
         if not occupied & teeth:
             push((occupied | teeth, anchors | cell))
         push((occupied | cell, anchors))
 
 
-def _tile_masks(spec: CombSpec, n_tiles: int, max_tiles: int) -> Iterator[int]:
+def _tile_masks(spec: CombSpec, n_tiles: int) -> Iterator[int]:
     """Comb-anchor masks of all gapless tilings with n_tiles tiles, square first.
 
     The search fills the leftmost empty cell n_tiles times, with a square or
     a comb anchored there, and keeps a leaf when its occupied cells run from
     cell 1 with no gap. A leaf with k combs covers n_tiles + (t-1)k cells.
+    No placement can overlap: a tooth of an earlier comb in the new comb's
+    residue class would cover the leftmost empty cell, and earlier squares
+    lie left of it.
     """
     if n_tiles < 0:
         raise ValueError("n_tiles must be >= 0")
-    if n_tiles > max_tiles:
-        raise ValueError(f"n_tiles {n_tiles} exceeds the enumeration limit {max_tiles}")
+    if n_tiles > MAX_TILES:
+        raise ValueError(f"n_tiles {n_tiles} exceeds the enumeration limit {MAX_TILES}")
     comb = _comb_mask(spec)
     stack = [(1, 0, n_tiles)]  # (occupied, anchors, tiles left); bit 0 is set
     pop, push = stack.pop, stack.append
@@ -164,27 +166,23 @@ def _tile_masks(spec: CombSpec, n_tiles: int, max_tiles: int) -> Iterator[int]:
                 yield anchors
             continue
         left -= 1
-        teeth = comb * cell
-        if not occupied & teeth:
-            push((occupied | teeth, anchors | cell, left))
+        push((occupied | comb * cell, anchors | cell, left))
         push((occupied | cell, anchors, left))
 
 
-def enumerate_tilings(
-    spec: CombSpec, board_len: int, *, max_board: int = DEFAULT_MAX_BOARD
-) -> list[Tiling]:
+def enumerate_tilings(spec: CombSpec, board_len: int) -> list[Tiling]:
     """All tilings of a board of the given length, each exactly once.
 
     Generation fills the leftmost empty cell with a square or with a comb
     anchored there (square branch first), so the output order is canonical
     and no tiling is produced twice. The empty board yields the empty tiling.
     """
-    return [_tiling(spec, board_len, a) for a in _board_masks(spec, board_len, max_board)]
+    if board_len > MAX_BOARD:
+        raise ValueError(f"board_len {board_len} exceeds the enumeration limit {MAX_BOARD}")
+    return [_tiling(spec, board_len, a) for a in _board_masks(spec, board_len)]
 
 
-def enumerate_tile_tilings(
-    spec: CombSpec, n_tiles: int, *, max_tiles: int = DEFAULT_MAX_TILES
-) -> list[Tiling]:
+def enumerate_tile_tilings(spec: CombSpec, n_tiles: int) -> list[Tiling]:
     """All gapless tilings (of any board length) that use exactly n_tiles tiles.
 
     The tile multiset determines the board length, so the search is bounded
@@ -194,7 +192,7 @@ def enumerate_tile_tilings(
     pad = spec.t - 1
     return [
         _tiling(spec, n_tiles + pad * a.bit_count(), a)
-        for a in _tile_masks(spec, n_tiles, max_tiles)
+        for a in _tile_masks(spec, n_tiles)
     ]
 
 
@@ -202,42 +200,32 @@ def enumerate_tile_tilings(
 @functools.lru_cache(maxsize=512)
 def _board_comb_counts(spec: CombSpec, board_len: int) -> tuple[int, ...]:
     # counts by comb count k = 0..board_len; caller is responsible for limits
-    return tuple(_histogram(_board_masks(spec, board_len, board_len), board_len + 1))
+    return tuple(_histogram(_board_masks(spec, board_len), board_len + 1))
 
 
-def build_triangle(
-    spec: CombSpec,
-    kind: TriangleKind,
-    rows: int,
-    *,
-    max_board: int = DEFAULT_MAX_BOARD,
-    max_tiles: int = DEFAULT_MAX_TILES,
-) -> Triangle:
+def build_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
     """Triangle of tiling counts, row by row, from raw enumeration.
 
     Board-indexed rows come from enumerating each board length. Tile-indexed
     rows come from the bounded tile-count search; every entry whose implied
-    board length (n-k) + k*t is within max_board is additionally recomputed
+    board length (n-k) + k*t is within MAX_BOARD is additionally recomputed
     from the board enumeration, and the two counts must agree.
     """
     if rows < 1:
         raise ValueError("rows must be >= 1")
     if kind is TriangleKind.BOARD:
-        if rows - 1 > max_board:
-            raise ValueError(f"{rows} rows exceeds the board limit {max_board}")
-        table = []
-        for n in range(rows):
-            counts = _board_comb_counts(spec, n)
-            table.append([counts[k] if k < len(counts) else 0 for k in range(n + 1)])
+        if rows - 1 > MAX_BOARD:
+            raise ValueError(f"{rows} rows exceeds the board limit {MAX_BOARD}")
+        table = [list(_board_comb_counts(spec, n)) for n in range(rows)]
         return Triangle.from_rows(spec, kind, table)
 
-    if rows - 1 > max_tiles:
-        raise ValueError(f"{rows} rows exceeds the tile limit {max_tiles}")
-    table = [_histogram(_tile_masks(spec, n, max_tiles), n + 1) for n in range(rows)]
+    if rows - 1 > MAX_TILES:
+        raise ValueError(f"{rows} rows exceeds the tile limit {MAX_TILES}")
+    table = [_histogram(_tile_masks(spec, n), n + 1) for n in range(rows)]
     for n in range(rows):
         for k in range(n + 1):
             board = n + (spec.t - 1) * k
-            if board <= max_board:
+            if board <= MAX_BOARD:
                 via_board = _board_comb_counts(spec, board)[k]
                 if via_board != table[n][k]:
                     raise RuntimeError(
@@ -280,9 +268,7 @@ class RestrictedSubset(Frozen):
         return len(self.members)
 
 
-def _subset_masks(
-    spec: CombSpec, n: int, most: int | None, max_universe: int
-) -> Iterator[int]:
+def _subset_masks(spec: CombSpec, n: int, most: int | None) -> Iterator[int]:
     """Member masks of the restricted subsets of {1..n}, lexicographic.
 
     Only subsets of at most ``most`` members are searched (all when None).
@@ -294,8 +280,8 @@ def _subset_masks(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > max_universe:
-        raise ValueError(f"universe {n} exceeds the enumeration limit {max_universe}")
+    if n > MAX_UNIVERSE:
+        raise ValueError(f"universe {n} exceeds the enumeration limit {MAX_UNIVERSE}")
     if most is not None and most < 0:
         raise ValueError("k must be >= 0")
     ban = _comb_mask(spec) ^ 1  # offsets m, 2m, ..., (t-1)m
@@ -319,44 +305,44 @@ def subset_size_counts(spec: CombSpec, n: int, k: int | None = None) -> list[int
 
     One search over member masks, with no subset built. With k given the
     search stops at k members, so the entries past k read 0. The checks and
-    default limit are those of :func:`enumerate_restricted_subsets`.
+    limit are those of :func:`enumerate_restricted_subsets`.
     """
-    return _histogram(_subset_masks(spec, n, k, DEFAULT_MAX_UNIVERSE), n + 1)
+    return _histogram(_subset_masks(spec, n, k), n + 1)
+
+
+def iter_restricted_subsets(
+    spec: CombSpec, n: int, k: int | None = None
+) -> Iterator[RestrictedSubset]:
+    """The restricted subsets of {1..n} one at a time, in lexicographic order.
+
+    With k given, only subsets of that size are produced. A request past the
+    universe cap, or with k < 0, raises before the first subset.
+    """
+    for mask in _subset_masks(spec, n, k):
+        if k is None or mask.bit_count() == k:
+            yield RestrictedSubset(spec, n, tuple(_bits(mask)))
 
 
 def enumerate_restricted_subsets(
-    spec: CombSpec,
-    n: int,
-    k: int | None = None,
-    *,
-    max_universe: int = DEFAULT_MAX_UNIVERSE,
+    spec: CombSpec, n: int, k: int | None = None
 ) -> list[RestrictedSubset]:
     """All restricted subsets of {1..n}, in lexicographic member order.
 
     With k given, only subsets of that size are produced.
     """
-    return [
-        RestrictedSubset(spec, n, tuple(_bits(mask)))
-        for mask in _subset_masks(spec, n, k, max_universe)
-        if k is None or mask.bit_count() == k
-    ]
+    return list(iter_restricted_subsets(spec, n, k))
 
 
 def subset_to_tiling(subset: RestrictedSubset) -> Tiling:
     """Map a restricted subset of {1..n} to a tiling of an (n + (t-1)m)-board.
 
     Each member i becomes a comb with leftmost tooth at cell i; the rest of
-    the board is filled with squares. The difference restriction is exactly
-    what makes the combs avoid each other, so the construction never overlaps.
+    the board is filled with squares. The banned differences are exactly the
+    comb overlaps, and a subset is validated when it is built, so the
+    construction never overlaps.
     """
     spec = subset.spec
-    comb = _comb_mask(spec)
-    covered = anchors = 0
-    for a in subset.members:
-        if covered & comb << a:
-            raise ValueError(f"comb at {a} overlaps another comb (invalid subset)")
-        covered |= comb << a
-        anchors |= 1 << a
+    anchors = sum(1 << a for a in subset.members)
     return _tiling(spec, subset.n + (spec.t - 1) * spec.m, anchors)
 
 
@@ -382,17 +368,12 @@ def split_board(tiling: Tiling) -> tuple[Tiling, ...]:
     m = spec.m
     sub_spec = CombSpec(1, spec.t)
     j, r = divmod(tiling.board_len, m)
-    lengths = [j + 1 if c <= r else j for c in range(1, m + 1)]
-    parts: list[list[tuple[str, int]]] = [[] for _ in range(m)]
+    anchors = [0] * m  # bit p of anchors[c] is cell (p-1)m + c + 1
     for kind, anchor in tiling.placements:
-        cls = (anchor - 1) % m
-        pos = (anchor - 1) // m + 1
-        parts[cls].append((kind, pos))
-    subs = []
-    for c in range(m):
-        parts[c].sort(key=lambda pl: pl[1])
-        subs.append(Tiling(sub_spec, lengths[c], tuple(parts[c])))
-    return tuple(subs)
+        if kind == COMB:
+            q, c = divmod(anchor - 1, m)
+            anchors[c] |= 2 << q
+    return tuple(_tiling(sub_spec, j + (c < r), anchors[c]) for c in range(m))
 
 
 def join_boards(spec: CombSpec, parts: tuple[Tiling, ...] | list[Tiling]) -> Tiling:
@@ -411,9 +392,9 @@ def join_boards(spec: CombSpec, parts: tuple[Tiling, ...] | list[Tiling]) -> Til
         j, r = j + 1, 0
     if lengths != [j + 1] * r + [j] * (m - r):
         raise ValueError(f"sub-board lengths {lengths} do not form a split pattern")
-    placements = []
+    anchors = 0
     for c, part in enumerate(parts):
         for kind, pos in part.placements:
-            placements.append((kind, (pos - 1) * m + c + 1))
-    placements.sort(key=lambda pl: pl[1])
-    return Tiling(spec, m * j + r, tuple(placements))
+            if kind == COMB:
+                anchors |= 1 << (pos - 1) * m + c + 1
+    return _tiling(spec, m * j + r, anchors)

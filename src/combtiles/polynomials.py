@@ -69,25 +69,6 @@ class IntPolynomial(Frozen):
             n >>= 1
         return result
 
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                power = "x" if k == 1 else f"x^{k}"
-                body = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
 
 def _bonacci_polys(t: int) -> Iterator[IntPolynomial]:
     """f_0, f_1, f_2, ... for tooth count t, one recurrence step each."""

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -358,6 +359,47 @@ def test_subsets_listing(run):
         "subsets", "--m", "2", "--t", "3", "--n", "4", "--format", "json"
     )
     assert json.loads(out) == [[], [1], [1, 2], [1, 4], [2], [2, 3], [3], [3, 4], [4]]
+    code, out, _ = run(
+        "subsets", "--m", "2", "--t", "3", "--n", "1", "--k", "2", "--format", "json"
+    )
+    assert (code, out) == (0, "[]\n")
+
+
+class _DigestOut:
+    """A stdout that keeps only a running SHA-256 of the text written to it."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_subsets_listing_streams(fmt):
+    # m >= n bans no difference, so all 2^14 subsets of {1..14} are listed;
+    # the listing holds one subset at a time, not all of them or their text
+    members = [list(s.members) for s in oracle.enumerate_restricted_subsets(CombSpec(24, 2), 14)]
+    if fmt == "json":
+        expected = json.dumps(members) + "\n"
+    else:
+        expected = "".join("{" + ",".join(map(str, m)) + "}\n" for m in members)
+    del members
+    sink = _DigestOut()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["subsets", "--m", "24", "--t", "2", "--n", "14", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.sha.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+    assert peak < 1_000_000, peak
 
 
 def test_digraph_dot_golden(run):
@@ -479,8 +521,9 @@ def test_usage_errors_exit_2(run):
         main(["no_such_command"])
     assert exc.value.code == 2
     # well-formed argument values beyond desk scale are ValueErrors: exit 2
-    code, out, err = run("subsets", "--m", "2", "--t", "3", "--n", "30")
-    assert code == 2 and out == "" and "limit" in err
+    for fmt in ("text", "json"):
+        code, out, err = run("subsets", "--m", "2", "--t", "3", "--n", "30", "--format", fmt)
+        assert code == 2 and out == "" and "limit" in err
 
 
 def test_output_is_deterministic(run):

@@ -340,5 +340,7 @@ def test_metatiles_replay_to_valid_tilings():
 
 
 def test_metatile_replay_rejects_gappy_strings():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gap"):
         metatile_to_tiling(CombSpec(2, 3), "CS")
+    with pytest.raises(ValueError, match="unknown tile kind 'X'"):
+        metatile_to_tiling(CombSpec(2, 3), "SX")

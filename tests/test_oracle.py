@@ -228,7 +228,7 @@ def test_board_search_on_the_grid():
             tilings = enumerate_tilings(spec, board_len)
             got = [(tl.board_len, tl.placements) for tl in tilings]
             assert got == _occupancy_board_tilings(spec, board_len), (spec, board_len)
-            assert _histogram(_board_masks(spec, board_len, 14), board_len + 1) == _by_size(
+            assert _histogram(_board_masks(spec, board_len), board_len + 1) == _by_size(
                 [tl.n_combs for tl in tilings], board_len + 1
             ), (spec, board_len)
 
@@ -240,7 +240,7 @@ def test_tile_search_on_the_grid():
             got = [(tl.board_len, tl.placements) for tl in tilings]
             assert got == _occupancy_tile_tilings(spec, n), (spec, n)
             assert all(tl.n_tiles == n for tl in tilings)
-            assert _histogram(_tile_masks(spec, n, 9), n + 1) == _by_size(
+            assert _histogram(_tile_masks(spec, n), n + 1) == _by_size(
                 [tl.n_combs for tl in tilings], n + 1
             ), (spec, n)
 
@@ -328,7 +328,8 @@ def test_enumeration_limits_are_enforced():
         build_triangle(spec, TriangleKind.BOARD, 28)
     with pytest.raises(ValueError, match="limit"):
         build_triangle(spec, TriangleKind.TILE, 24)
-    assert enumerate_tilings(spec, 27, max_board=27)  # explicit override
+    with pytest.raises(TypeError):  # the caps are constants, not arguments
+        enumerate_tilings(spec, 27, max_board=27)
 
 
 def test_route_disagreement_is_an_error(monkeypatch):
@@ -336,7 +337,7 @@ def test_route_disagreement_is_an_error(monkeypatch):
 
     def corrupt(spec, board_len):
         counts = [0] * (board_len + 1)
-        for tl in enumerate_tilings(spec, board_len, max_board=board_len):
+        for tl in enumerate_tilings(spec, board_len):
             counts[tl.n_combs] += 1
         if board_len == 5:
             counts[1] += 1

@@ -35,13 +35,6 @@ def test_polynomial_normalization():
     assert IntPolynomial((1, 0, 3)).coefficient(9) == 0
 
 
-def test_polynomial_render():
-    assert IntPolynomial(()).render() == "0"
-    assert IntPolynomial((1, 4, 1)).render() == "1 + 4x + x^2"
-    assert IntPolynomial((0, -1, 2)).render() == "-x + 2x^2"
-    assert IntPolynomial((5,)).render() == "5"
-
-
 def _add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     # the library multiplies polynomials but never adds them
     n = max(len(a.coeffs), len(b.coeffs))
