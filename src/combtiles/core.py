@@ -122,13 +122,6 @@ class CombSpec(Frozen):
         return (self.t - 1) * self.m + 1
 
 
-def comb_cells(spec: CombSpec, pos: int) -> frozenset[int]:
-    """Cells occupied by a comb whose leftmost tooth is at cell ``pos``."""
-    if pos < 1:
-        raise ValueError(f"cell index must be >= 1, got {pos}")
-    return frozenset(pos + i * spec.m for i in range(spec.t))
-
-
 def board_to_tile_index(spec: CombSpec, n_board: int, k: int) -> tuple[int, int]:
     """Map (board length, comb count) to (tile count, comb count).
 

@@ -5,14 +5,24 @@ bounded parameter grid and records every mismatch. Triangle entries come from th
 walk counter over the metatile digraph (itself validated against the
 enumeration oracle elsewhere), so each identity is probed independently of
 the recursion synthesizer it may also be compared with.
+
+A check is a function ``(profile, recorder) -> grid description``,
+registered by ``@_check`` under its name without the ``_check_`` prefix;
+``run_check`` builds the report from the recorder. A check of single
+tile-triangle entries against a formula is stated as a point list instead:
+``@_entry_check`` registers a generator of ``(label, n, k, expected)`` for
+one family, and ``_record_entries`` runs it on every family of the grid.
+Closed-form products come from ``polynomials.board_poly``, one schoolbook
+``IntPolynomial`` product per board, independent of the packed engine.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import engines
 from .core import CombSpec, Frozen, Triangle, TriangleKind, board_to_tile_index, max_combs
@@ -21,9 +31,9 @@ from .oracle import _board_comb_counts, subset_size_counts
 from .polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
+    board_poly,
     bonacci_number,
     bonacci_poly,
-    entry_via_poly,
     power_series_div,
 )
 from .recursion import Metric, RecursionRelation, project_row_sum, synthesize
@@ -71,11 +81,12 @@ def reports_to_json(reports: list[CheckReport]) -> str:
 
 
 class _Recorder:
-    """Accumulates cases and mismatches for one check."""
+    """Accumulates cases, mismatches and notes for one check."""
 
     def __init__(self) -> None:
         self.cases = 0
         self.failures: list[tuple[str, str, str]] = []
+        self.notes = ""
 
     def record(self, params: str, expected: object, actual: object) -> None:
         self.cases += 1
@@ -102,10 +113,10 @@ def _structure(spec: CombSpec) -> CycleStructure:
     return analyze_structure(build_digraph(spec))
 
 
-def _specs(p: GridProfile, *, min_m: int = 1) -> list[CombSpec]:
+def _specs(p: GridProfile) -> list[CombSpec]:
     return [
         CombSpec(m, t)
-        for m in range(min_m, p.max_m + 1)
+        for m in range(1, p.max_m + 1)
         for t in range(2, p.max_t + 1)
     ]
 
@@ -113,6 +124,47 @@ def _specs(p: GridProfile, *, min_m: int = 1) -> list[CombSpec]:
 def _grid_desc(p: GridProfile, extra: str = "") -> str:
     base = f"m<={p.max_m} t<={p.max_t} n<={p.max_n}"
     return f"{base}, {extra}" if extra else base
+
+
+# checks by name, in the order the suite runs them
+_REGISTRY: dict[str, Callable[[GridProfile, _Recorder], str]] = {}
+
+
+def _check(
+    check: Callable[[GridProfile, _Recorder], str],
+) -> Callable[[GridProfile, _Recorder], str]:
+    _REGISTRY[check.__name__.removeprefix("_check_")] = check
+    return check
+
+
+# (label, n, k, expected): one tile-triangle entry and the value a formula gives it
+_Point = tuple[str, int, int, int]
+# the points of one family (spec, max_n), in the order they are recorded
+_Points = Callable[[CombSpec, int], Iterable[_Point]]
+
+
+def _record_entries(p: GridProfile, rec: _Recorder, points: _Points) -> None:
+    """Records each point of each family that lies in the grid, 0 <= k <= n <= max_n."""
+    for spec in _specs(p):
+        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
+        for label, n, k, expected in points(spec, p.max_n):
+            if 0 <= k <= n <= p.max_n:
+                rec.record(f"m={spec.m} t={spec.t} {label}", expected, tile.entry(n, k))
+
+
+def _entry_check(extra: str = "") -> Callable[[_Points], _Points]:
+    """Registers a point list as a check; ``extra`` is added to the grid description."""
+
+    def register(points: _Points) -> _Points:
+        @_check
+        @functools.wraps(points)
+        def check(p: GridProfile, rec: _Recorder) -> str:
+            _record_entries(p, rec, points)
+            return _grid_desc(p, extra)
+
+        return points
+
+    return register
 
 
 # Recurrence term lists for four sample specs, transcribed independently
@@ -245,8 +297,8 @@ def _relation_terms(rel: RecursionRelation) -> tuple[dict, dict]:
     return deltas, shifts
 
 
-def _check_ch_eq_chb(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_ch_eq_chb(p: GridProfile, rec: _Recorder) -> str:
     for spec in _specs(p):
         board = _triangle(spec, TriangleKind.BOARD, p.max_n)
         tile = _triangle(spec, TriangleKind.TILE, p.max_n)
@@ -259,11 +311,11 @@ def _check_ch_eq_chb(p: GridProfile) -> CheckReport:
                     expected,
                     board.entry(n, k),
                 )
-    return CheckReport("ch_eq_chb", _grid_desc(p, "all k"), rec.cases, tuple(rec.failures))
+    return _grid_desc(p, "all k")
 
 
-def _check_adiag_sum(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_adiag_sum(p: GridProfile, rec: _Recorder) -> str:
     for spec in _specs(p):
         tile = _triangle(spec, TriangleKind.TILE, p.max_n)
         for n in range(p.max_n + 1):
@@ -277,55 +329,40 @@ def _check_adiag_sum(p: GridProfile) -> CheckReport:
                 antidiagonal_sum_closed(spec, j, r),
                 total,
             )
-    return CheckReport("adiag_sum", _grid_desc(p), rec.cases, tuple(rec.failures))
+    return _grid_desc(p)
 
 
-def _check_col0(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        for n in range(p.max_n + 1):
-            rec.record(f"m={spec.m} t={spec.t} n={n}", 1, tile.entry(n, 0))
-    return CheckReport("col0", _grid_desc(p, "k=0"), rec.cases, tuple(rec.failures))
+@_entry_check("k=0")
+def _check_col0(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    for n in range(max_n + 1):
+        yield f"n={n}", n, 0, 1
 
 
-def _check_diag(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        for n in range(p.max_n + 1):
-            expected = 1 if n % spec.m == 0 else 0
-            rec.record(f"m={spec.m} t={spec.t} n={n}", expected, tile.entry(n, n))
-    return CheckReport("diag", _grid_desc(p, "k=n"), rec.cases, tuple(rec.failures))
+@_entry_check("k=n")
+def _check_diag(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    for n in range(max_n + 1):
+        yield f"n={n}", n, n, 1 if n % spec.m == 0 else 0
 
 
-def _check_col1(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        gap = (spec.m - 1) * (spec.t - 1)
-        for n in range(1, p.max_n + 1):
-            expected = 0 if n < gap + 1 else n - gap
-            rec.record(f"m={spec.m} t={spec.t} n={n}", expected, tile.entry(n, 1))
-    return CheckReport("col1", _grid_desc(p, "k=1"), rec.cases, tuple(rec.failures))
+@_entry_check("k=1")
+def _check_col1(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    gap = (spec.m - 1) * (spec.t - 1)
+    for n in range(1, max_n + 1):
+        yield f"n={n}", n, 1, 0 if n < gap + 1 else n - gap
 
 
-def _check_zeros(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p, min_m=2):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        m, t = spec.m, spec.t
-        for j in range(1, p.max_n // m + 2):
-            for pp in range(1, m):
-                for r in range(1 - (t - 2) * pp, pp + 1):
-                    n, k = m * j - r, m * j - pp
-                    if not 0 <= k <= n <= p.max_n:
-                        continue
-                    rec.record(
-                        f"m={m} t={t} j={j} p={pp} r={r} (n={n},k={k})",
-                        0,
-                        tile.entry(n, k),
-                    )
+def _zero_points(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    m, t = spec.m, spec.t
+    for j in range(1, max_n // m + 2):
+        for pp in range(1, m):
+            for r in range(1 - (t - 2) * pp, pp + 1):
+                n, k = m * j - r, m * j - pp
+                yield f"j={j} p={pp} r={r} (n={n},k={k})", n, k, 0
+
+
+@_check
+def _check_zeros(p: GridProfile, rec: _Recorder) -> str:
+    _record_entries(p, rec, _zero_points)
     # the zero region's edge: the largest k with a nonzero count on each
     # board must agree with the closed-form comb capacity
     for spec in _specs(p):
@@ -338,89 +375,46 @@ def _check_zeros(p: GridProfile) -> CheckReport:
                 max_combs(spec, j, r),
                 largest,
             )
-    return CheckReport("zeros", _grid_desc(p), rec.cases, tuple(rec.failures))
+    return _grid_desc(p)
 
 
-def _check_vert_boundary(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        m, t = spec.m, spec.t
-        for j in range(1, p.max_n // m + 2):
-            for s in range(t - 1):
-                for r in range(m + 1):
-                    n, k = m * (j + s - 1) + r, m * (j - 1)
-                    if not 0 <= k <= n <= p.max_n:
-                        continue
-                    expected = _binom(j + s - 1, s) ** (m - r) * _binom(
-                        j + s, s + 1
-                    ) ** r
-                    rec.record(
-                        f"m={m} t={t} j={j} s={s} r={r} (n={n},k={k})",
-                        expected,
-                        tile.entry(n, k),
-                    )
-    return CheckReport("vert_boundary", _grid_desc(p), rec.cases, tuple(rec.failures))
+@_entry_check()
+def _check_vert_boundary(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    m, t = spec.m, spec.t
+    for j in range(1, max_n // m + 2):
+        for s in range(t - 1):
+            for r in range(m + 1):
+                n, k = m * (j + s - 1) + r, m * (j - 1)
+                expected = _binom(j + s - 1, s) ** (m - r) * _binom(j + s, s + 1) ** r
+                yield f"j={j} s={s} r={r} (n={n},k={k})", n, k, expected
 
 
-def _check_ray_boundary(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        m, t = spec.m, spec.t
-        for j in range(1, p.max_n // m + 2):
-            for pp in range(m + 1):
-                n, k = m * j + (t - 2) * pp, m * j - pp
-                if not 0 <= k <= n <= p.max_n:
-                    continue
-                rec.record(
-                    f"m={m} t={t} j={j} p={pp} (n={n},k={k})",
-                    _binom(j + t - 2, t - 1) ** pp,
-                    tile.entry(n, k),
-                )
-    return CheckReport("ray_boundary", _grid_desc(p), rec.cases, tuple(rec.failures))
+@_entry_check()
+def _check_ray_boundary(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    m, t = spec.m, spec.t
+    for j in range(1, max_n // m + 2):
+        for pp in range(m + 1):
+            n, k = m * j + (t - 2) * pp, m * j - pp
+            yield f"j={j} p={pp} (n={n},k={k})", n, k, _binom(j + t - 2, t - 1) ** pp
 
 
-def _check_one_square_block(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        m, t = spec.m, spec.t
-        for j in range(1, p.max_n // m + 2):
-            n, k = m * j + t - 1, m * j - 1
-            if not 0 <= k <= n <= p.max_n:
-                continue
-            rec.record(
-                f"m={m} t={t} j={j} (n={n},k={k})",
-                m * _binom(j + t - 1, t),
-                tile.entry(n, k),
-            )
-    return CheckReport("one_square_block", _grid_desc(p), rec.cases, tuple(rec.failures))
+@_entry_check()
+def _check_one_square_block(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    m, t = spec.m, spec.t
+    for j in range(1, max_n // m + 2):
+        n, k = m * j + t - 1, m * j - 1
+        yield f"j={j} (n={n},k={k})", n, k, m * _binom(j + t - 1, t)
 
 
-def _check_two_square_block(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        m, t = spec.m, spec.t
-        for j in range(1, p.max_n // m + 2):
-            if m * j < 2:
-                continue
-            n, k = m * j + 2 * (t - 1), m * j - 2
-            if not 0 <= k <= n <= p.max_n:
-                continue
-            if j == 1 and m > 1:
-                expected = _binom(m, 2)
-            elif m == 1:
-                expected = _binom(j + 2 * (t - 1), 2 * t)
-            else:
-                expected = m * _binom(j + 2 * (t - 1), 2 * t) + _binom(m, 2) * _binom(
-                    j + t - 1, t
-                ) ** 2
-            rec.record(
-                f"m={m} t={t} j={j} (n={n},k={k})", expected, tile.entry(n, k)
-            )
-    return CheckReport("two_square_block", _grid_desc(p), rec.cases, tuple(rec.failures))
+@_entry_check()
+def _check_two_square_block(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    # one formula for every (m, j): at j = 1 its first binomial is C(2t-1, 2t) = 0,
+    # leaving C(m, 2), and at m = 1 its second term has C(1, 2) = 0
+    m, t = spec.m, spec.t
+    for j in range(1, max_n // m + 2):
+        n, k = m * j + 2 * (t - 1), m * j - 2
+        expected = m * _binom(j + 2 * (t - 1), 2 * t) + _binom(m, 2) * _binom(j + t - 1, t) ** 2
+        yield f"j={j} (n={n},k={k})", n, k, expected
 
 
 def _compositions(s: int) -> list[tuple[int, ...]]:
@@ -433,36 +427,25 @@ def _compositions(s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_composition(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
-    for spec in _specs(p):
-        tile = _triangle(spec, TriangleKind.TILE, p.max_n)
-        m, t = spec.m, spec.t
-        for s in range(1, 6):
-            for j in range(1, p.max_n // m + 2):
-                if m * j < s:
-                    continue
-                n, k = m * j + s * (t - 1), m * j - s
-                if not 0 <= k <= n <= p.max_n:
-                    continue
-                expected = 0
-                for parts in _compositions(s):
-                    term = _binom(m, len(parts))
-                    for r_i in parts:
-                        term *= _binom(j + r_i * (t - 1), r_i * t)
-                    expected += term
-                rec.record(
-                    f"m={m} t={t} s={s} j={j} (n={n},k={k})",
-                    expected,
-                    tile.entry(n, k),
-                )
-    return CheckReport(
-        "composition", _grid_desc(p, "s<=5"), rec.cases, tuple(rec.failures)
-    )
+@_entry_check("s<=5")
+def _check_composition(spec: CombSpec, max_n: int) -> Iterator[_Point]:
+    m, t = spec.m, spec.t
+    for s in range(1, 6):
+        compositions = _compositions(s)
+        # j stops where n passes max_n, so no sum is formed for a point off the grid
+        for j in range(1, (max_n - s * (t - 1)) // m + 1):
+            n, k = m * j + s * (t - 1), m * j - s
+            expected = 0
+            for parts in compositions:
+                term = _binom(m, len(parts))
+                for r_i in parts:
+                    term *= _binom(j + r_i * (t - 1), r_i * t)
+                expected += term
+            yield f"s={s} j={j} (n={n},k={k})", n, k, expected
 
 
-def _check_pascal_region(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_pascal_region(p: GridProfile, rec: _Recorder) -> str:
     held = 0
     probed = 0
     for spec in _specs(p):
@@ -481,21 +464,15 @@ def _check_pascal_region(p: GridProfile) -> CheckReport:
                     probed += 1
                     if tile.entry(n, k) == pascal:
                         held += 1
-    notes = (
+    rec.notes = (
         f"boundary n=(m-1)(t-1)k probed, not asserted: recurrence held at "
         f"{held} of {probed} boundary points"
     )
-    return CheckReport(
-        "pascal_region",
-        _grid_desc(p, "n>(m-1)(t-1)k"),
-        rec.cases,
-        tuple(rec.failures),
-        notes,
-    )
+    return _grid_desc(p, "n>(m-1)(t-1)k")
 
 
-def _check_subset_recurrence(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_subset_recurrence(p: GridProfile, rec: _Recorder) -> str:
     for spec in _specs(p):
         m, t = spec.m, spec.t
         pad = (t - 1) * m
@@ -511,39 +488,30 @@ def _check_subset_recurrence(p: GridProfile) -> CheckReport:
                     s_val(n - 1, k) + s_val(n - t, k - 1),
                     s_val(n, k),
                 )
-    return CheckReport(
-        "subset_recurrence",
-        _grid_desc(p, "n>m(t-1)(k-1)"),
-        rec.cases,
-        tuple(rec.failures),
-    )
+    return _grid_desc(p, "n>m(t-1)(k-1)")
 
 
-def _check_rr_exact(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_rr_exact(p: GridProfile, rec: _Recorder) -> str:
     for (m, t), expected in sorted(_KNOWN_ENTRY_RELATIONS.items()):
         rel = synthesize(_structure(CombSpec(m, t)), Metric.TILES)
         rec.record(f"m={m} t={t} tiles by k", expected, _relation_terms(rel))
-    return CheckReport(
-        "rr_exact", "specs (2,3),(2,4),(4,2),(2,5)", rec.cases, tuple(rec.failures)
-    )
+    return "specs (2,3),(2,4),(4,2),(2,5)"
 
 
-def _check_sums_exact(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_sums_exact(p: GridProfile, rec: _Recorder) -> str:
     for (m, t), expected in sorted(_KNOWN_TILE_SUM_RELATIONS.items()):
         rel = project_row_sum(synthesize(_structure(CombSpec(m, t)), Metric.TILES))
         rec.record(f"m={m} t={t} tile sums", expected, _relation_terms(rel))
     for (m, t), expected in sorted(_KNOWN_CELL_SUM_RELATIONS.items()):
         rel = project_row_sum(synthesize(_structure(CombSpec(m, t)), Metric.CELLS))
         rec.record(f"m={m} t={t} cell sums", expected, _relation_terms(rel))
-    return CheckReport(
-        "sums_exact", "specs (2,3),(2,4),(4,2),(2,5)", rec.cases, tuple(rec.failures)
-    )
+    return "specs (2,3),(2,4),(4,2),(2,5)"
 
 
-def _check_gf_42(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_gf_42(p: GridProfile, rec: _Recorder) -> str:
     denominator = (
         IntPolynomial((1, -2))
         * IntPolynomial((1, 0, -1))
@@ -553,9 +521,7 @@ def _check_gf_42(p: GridProfile) -> CheckReport:
     sums = engines.sums(CombSpec(4, 2), Metric.TILES, 12, "recursion")
     for n in range(12):
         rec.record(f"m=4 t=2 n={n}", series[n], sums[n])
-    return CheckReport(
-        "gf_42", "12 series terms", rec.cases, tuple(rec.failures)
-    )
+    return "12 series terms"
 
 
 def _multinomial(parts: Sequence[int]) -> int:
@@ -594,25 +560,17 @@ def multinomial_check(j_values: Sequence[int]) -> bool:
     return lhs == rhs
 
 
-def _check_multinom(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_multinom(p: GridProfile, rec: _Recorder) -> str:
     top = 4 if p.name == "quick" else 5
     for count in (3, 4):
-        def sweep(prefix: list[int]) -> None:
-            if len(prefix) == count:
-                rec.record(f"j={tuple(prefix)}", True, multinomial_check(prefix))
-                return
-            for v in range(1, top + 1):
-                sweep(prefix + [v])
-
-        sweep([])
-    return CheckReport(
-        "multinom", f"N in 2..3, j<={top}", rec.cases, tuple(rec.failures)
-    )
+        for js in itertools.product(range(1, top + 1), repeat=count):
+            rec.record(f"j={js}", True, multinomial_check(js))
+    return f"N in 2..3, j<={top}"
 
 
-def _check_sumcoeff(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_sumcoeff(p: GridProfile, rec: _Recorder) -> str:
     for t in range(2, p.max_t + 1):
         for n in range(p.max_n + 1):
             rec.record(
@@ -620,13 +578,11 @@ def _check_sumcoeff(p: GridProfile) -> CheckReport:
                 bonacci_number(t, n),
                 bonacci_poly(t, n).evaluate(1),
             )
-    return CheckReport(
-        "sumcoeff", f"t<={p.max_t} n<={p.max_n}", rec.cases, tuple(rec.failures)
-    )
+    return f"t<={p.max_t} n<={p.max_n}"
 
 
-def _check_poly_coeff(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_poly_coeff(p: GridProfile, rec: _Recorder) -> str:
     cap = min(p.max_n, 16)
     for t in range(2, p.max_t + 1):
         omino = CombSpec(1, t)
@@ -635,13 +591,11 @@ def _check_poly_coeff(p: GridProfile) -> CheckReport:
             poly = bonacci_poly(t, n)
             for k in range(n + 1):
                 rec.record(f"t={t} n={n} k={k}", counts[k], poly.coefficient(k))
-    return CheckReport(
-        "poly_coeff", f"t<={p.max_t} n<={cap} (enumerated)", rec.cases, tuple(rec.failures)
-    )
+    return f"t<={p.max_t} n<={cap} (enumerated)"
 
 
-def _check_tpoly(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_tpoly(p: GridProfile, rec: _Recorder) -> str:
     j_max = 5 if p.name == "quick" else 7
     oracle_cap = 14
     for spec in _specs(p):
@@ -650,8 +604,9 @@ def _check_tpoly(p: GridProfile) -> CheckReport:
         for j in range(j_max + 1):
             for r in range(m):
                 n_board = m * j + r
+                poly = board_poly(spec, j, r)
                 for k in range(n_board // t + 1):
-                    expected = entry_via_poly(spec, j, r, k)
+                    expected = poly.coefficient(k)
                     rec.record(
                         f"m={m} t={t} j={j} r={r} k={k}",
                         expected,
@@ -663,16 +618,11 @@ def _check_tpoly(p: GridProfile) -> CheckReport:
                             expected,
                             _board_comb_counts(spec, n_board)[k],
                         )
-    return CheckReport(
-        "tpoly",
-        f"m<={p.max_m} t<={p.max_t} j<={j_max}, enumeration cross-check to board 14",
-        rec.cases,
-        tuple(rec.failures),
-    )
+    return f"m<={p.max_m} t<={p.max_t} j<={j_max}, enumeration cross-check to board 14"
 
 
-def _check_s_corollaries(p: GridProfile) -> CheckReport:
-    rec = _Recorder()
+@_check
+def _check_s_corollaries(p: GridProfile, rec: _Recorder) -> str:
     cap = min(p.max_n, 14)
     for spec in _specs(p):
         m, t = spec.m, spec.t
@@ -681,9 +631,8 @@ def _check_s_corollaries(p: GridProfile) -> CheckReport:
         for n in range(cap + 1):
             by_k = subset_size_counts(spec, n)
             j, r = divmod(n, m)
-            poly = bonacci_poly(t, j + t - 1) ** (m - r) * bonacci_poly(
-                t, j + t
-            ) ** r
+            # the universe {1..n} is in bijection with the board n + pad = m*(j+t-1) + r
+            poly = board_poly(spec, j + t - 1, r)
             k_top = max(k for k, count in enumerate(by_k) if count)
             for k in range(max(k_top, poly.degree) + 1):
                 count = by_k[k] if k < len(by_k) else 0
@@ -699,41 +648,10 @@ def _check_s_corollaries(p: GridProfile) -> CheckReport:
                 )
             rec.record(
                 f"m={m} t={t} n={n} total",
-                bonacci_number(t, j + t - 1) ** (m - r)
-                * bonacci_number(t, j + t) ** r,
+                antidiagonal_sum_closed(spec, j + t - 1, r),
                 sum(by_k),
             )
-    return CheckReport(
-        "s_corollaries",
-        f"m<={p.max_m} t<={p.max_t} universe<={cap}",
-        rec.cases,
-        tuple(rec.failures),
-    )
-
-
-_REGISTRY = {
-    "ch_eq_chb": _check_ch_eq_chb,
-    "adiag_sum": _check_adiag_sum,
-    "col0": _check_col0,
-    "diag": _check_diag,
-    "col1": _check_col1,
-    "zeros": _check_zeros,
-    "vert_boundary": _check_vert_boundary,
-    "ray_boundary": _check_ray_boundary,
-    "one_square_block": _check_one_square_block,
-    "two_square_block": _check_two_square_block,
-    "composition": _check_composition,
-    "pascal_region": _check_pascal_region,
-    "subset_recurrence": _check_subset_recurrence,
-    "rr_exact": _check_rr_exact,
-    "sums_exact": _check_sums_exact,
-    "gf_42": _check_gf_42,
-    "multinom": _check_multinom,
-    "sumcoeff": _check_sumcoeff,
-    "poly_coeff": _check_poly_coeff,
-    "tpoly": _check_tpoly,
-    "s_corollaries": _check_s_corollaries,
-}
+    return f"m<={p.max_m} t<={p.max_t} universe<={cap}"
 
 
 def check_names() -> list[str]:
@@ -742,14 +660,16 @@ def check_names() -> list[str]:
 
 def run_check(name: str, profile: str = "quick") -> CheckReport:
     try:
-        grid = PROFILES[profile]
+        p = PROFILES[profile]
     except KeyError:
         raise ValueError(f"unknown profile {profile!r}") from None
     try:
-        fn = _REGISTRY[name]
+        check = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r}") from None
-    return fn(grid)
+    rec = _Recorder()
+    grid = check(p, rec)
+    return CheckReport(name, grid, rec.cases, tuple(rec.failures), rec.notes)
 
 
 def run_suite(profile: str = "quick") -> list[CheckReport]:

@@ -265,16 +265,14 @@ def _check_j_r(spec: CombSpec, j: int, r: int) -> None:
         raise ValueError(f"r must be in 0..{spec.m - 1}")
 
 
-def entry_via_poly(spec: CombSpec, j: int, r: int, k: int) -> int:
-    """Tile-indexed entry at (m*j + r - (t-1)*k, k) as a product coefficient.
+def board_poly(spec: CombSpec, j: int, r: int) -> IntPolynomial:
+    """P_b = f_j^(m-r) * f_{j+1}^r for the board b = m*j + r, by schoolbook products.
 
-    The value is [x^k] of f_j^(m-r) * f_{j+1}^r at tooth count t.
+    [x^k] P_b counts tilings of the b-board with k combs: the tile-indexed
+    entry at (b - (t-1)*k, k) and the board-indexed entry at (b, k).
     """
     _check_j_r(spec, j, r)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    prod = bonacci_poly(spec.t, j) ** (spec.m - r) * bonacci_poly(spec.t, j + 1) ** r
-    return prod.coefficient(k)
+    return bonacci_poly(spec.t, j) ** (spec.m - r) * bonacci_poly(spec.t, j + 1) ** r
 
 
 def antidiagonal_sum_closed(spec: CombSpec, j: int, r: int) -> int:

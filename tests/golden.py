@@ -327,3 +327,12 @@ STRUCTURE_DIGESTS = {
     (3, 2): "9fafc8b12cb4be068c485cc4d183a449a7584fcbff2af10c3df4f6a6577b8df8",
     (4, 2): "b562f92049685b89c0dc387f4aeec044d946893d2aefa3be882ff28f76287e31",
 }
+
+# SHA-256 of `verify --profile P --format F` stdout: grid strings, case
+# counts and notes of all 21 checks
+VERIFY_DIGESTS = {
+    ("quick", "text"): "d8b2e028f46abb3af016399cb3d54ecaf1ed24a1abbfda389545b977dd9316c4",
+    ("quick", "json"): "194be7c1e5954f918634caa683cdb9e95acb1df007d6f4c19692f2d8a8e88c88",
+    ("full", "text"): "df743be8b0f9b36a478a805ee3067affd8c66063455f6a15097f52a768bdf0be",
+    ("full", "json"): "c75b008776847d3818d64eee5427d0f555c9f06d8b9ae5c1c86853fd8d3eebdb",
+}

@@ -18,7 +18,7 @@ from combtiles import engines, oracle
 from combtiles.cli import _build_parser, main
 from combtiles.core import CombSpec, TriangleKind
 from combtiles.digraph import analyze_structure, build_digraph, export_dot
-from combtiles.polynomials import entry_via_poly
+from combtiles.polynomials import board_poly
 from combtiles.recursion import Metric
 
 from golden import (
@@ -28,6 +28,7 @@ from golden import (
     STRUCTURE_DIGESTS,
     TILE_SUMS,
     TRIANGLES,
+    VERIFY_DIGESTS,
 )
 
 
@@ -82,7 +83,7 @@ def test_streamed_poly_triangle_matches_closed_form_and_oracle(m, t, kind, rows)
         for k in range(n + 1):
             board = n + (t - 1) * k if kind is TriangleKind.TILE else n
             j, r = divmod(board, m)
-            assert tri.entry(n, k) == entry_via_poly(spec, j, r, k), (n, k)
+            assert tri.entry(n, k) == board_poly(spec, j, r).coefficient(k), (n, k)
     # rows <= 9 stays inside the oracle's tile and board caps
     assert tri == oracle.build_triangle(spec, kind, rows)
 
@@ -117,7 +118,7 @@ def test_poly_engine_with_wide_slots():
     for n in [0, 1, 2, 45, 88, 89]:
         for k in range(n + 1):
             j, r = divmod(n + 5 * k, 6)
-            assert tri.entry(n, k) == entry_via_poly(spec, j, r, k), (n, k)
+            assert tri.entry(n, k) == board_poly(spec, j, r).coefficient(k), (n, k)
 
 
 def test_poly_tile_slots_of_exactly_rows_bits(run):
@@ -508,6 +509,13 @@ def test_verify_quick(run):
     assert code == 0
     payload = json.loads(out)
     assert len(payload) == 21 and all(p["passed"] for p in payload)
+
+
+@pytest.mark.parametrize(("profile", "fmt"), sorted(VERIFY_DIGESTS))
+def test_verify_stdout_digest(run, profile, fmt):
+    code, out, _ = run("verify", "--profile", profile, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[profile, fmt]
 
 
 def test_usage_errors_exit_2(run):

@@ -12,7 +12,6 @@ from combtiles.core import (
     Triangle,
     TriangleKind,
     board_to_tile_index,
-    comb_cells,
     max_combs,
     tile_to_board_index,
 )
@@ -35,24 +34,6 @@ def test_spec_validation():
     assert CombSpec(1, 2).comb_extent == 2
     assert CombSpec(2, 3).comb_extent == 5
     assert CombSpec(4, 5).comb_extent == 17
-
-
-def test_comb_cells_examples():
-    assert comb_cells(CombSpec(2, 3), 1) == {1, 3, 5}
-    assert comb_cells(CombSpec(1, 4), 2) == {2, 3, 4, 5}
-    assert comb_cells(CombSpec(3, 2), 4) == {4, 7}
-    with pytest.raises(ValueError):
-        comb_cells(CombSpec(2, 3), 0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(specs, st.integers(min_value=1, max_value=100))
-def test_comb_cells_shape(spec, pos):
-    cells = comb_cells(spec, pos)
-    assert len(cells) == spec.t
-    assert min(cells) == pos
-    assert max(cells) - min(cells) == (spec.t - 1) * spec.m
-    assert all((c - pos) % spec.m == 0 for c in cells)
 
 
 def test_index_maps_examples():

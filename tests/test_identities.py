@@ -105,6 +105,21 @@ def test_zeros_check_catches_an_off_by_one(monkeypatch):
     assert params and expected != actual
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["vert_boundary", "ray_boundary", "one_square_block", "two_square_block", "composition"],
+)
+def test_entry_checks_catch_an_off_by_one_binomial(monkeypatch, name):
+    # sabotage the binomial the point lists are stated with; each entry check
+    # must report a point of some family rather than pass silently
+    true_binom = identities._binom
+    monkeypatch.setattr(identities, "_binom", lambda a, b: true_binom(a, b) + 1)
+    report = run_check(name)
+    assert not report.passed
+    params, expected, actual = report.failures[0]
+    assert params.startswith("m=") and expected != actual
+
+
 def test_rr_exact_catches_a_wrong_coefficient(monkeypatch):
     broken = dict(identities._KNOWN_TILE_SUM_RELATIONS)
     deltas, shifts = broken[(2, 3)]

@@ -11,9 +11,9 @@ from combtiles.polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
     board_counts,
+    board_poly,
     bonacci_number,
     bonacci_poly,
-    entry_via_poly,
     power_series_div,
     triangle_rows,
 )
@@ -113,24 +113,24 @@ def test_bonacci_coefficients_count_omino_tilings():
                 assert poly.coefficient(k) == counts.get(k, 0), (t, n, k)
 
 
-def test_entry_via_poly_matches_golden_triangles():
+def test_board_poly_matches_golden_triangles():
     for (m, t), rows in TRIANGLES.items():
         spec = CombSpec(m, t)
         for n in range(len(rows)):
             for k in range(n + 1):
                 board = n + (t - 1) * k
                 j, r = divmod(board, m)
-                assert entry_via_poly(spec, j, r, k) == rows[n][k], (m, t, n, k)
+                assert board_poly(spec, j, r).coefficient(k) == rows[n][k], (m, t, n, k)
 
 
-def test_entry_via_poly_validation():
+def test_board_poly_validation():
     spec = CombSpec(2, 3)
     with pytest.raises(ValueError):
-        entry_via_poly(spec, -1, 0, 0)
+        board_poly(spec, -1, 0)
     with pytest.raises(ValueError):
-        entry_via_poly(spec, 2, 2, 0)
+        board_poly(spec, 2, 2)
     with pytest.raises(ValueError):
-        entry_via_poly(spec, 2, 0, -1)
+        board_poly(spec, 2, -1)
 
 
 def test_antidiagonal_sum_closed_matches_board_counts():
