@@ -5,16 +5,20 @@ digraph, recursion synthesis, and the verification suite. Output goes to
 stdout, diagnostics to stderr; identical invocations produce byte-identical
 output. Exit codes: 0 success, 1 verification failure or refused structure,
 2 usage error.
+
+Each subcommand and its options are declared once, in ``_COMMANDS``. A
+well-formed request is read straight from argv; argparse, built from the same
+table, is imported only for help, usage errors and the forms the direct
+reader leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
-import json
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 from . import engines, oracle
 from .core import CombSpec, TriangleKind
@@ -26,25 +30,28 @@ from .digraph import (
     enumerate_metatiles,
     export_dot,
 )
-from .identities import PROFILES, reports_to_json, run_suite
 from .recursion import Metric, project_row_sum, synthesize
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return _integer(text, 1, "positive")
 
 
 def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return _integer(text, 0, "non-negative")
+
+
+def _integer(text: str, least: int, word: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise ValueError(f"expected a {word} integer, got {text}")
     return value
 
 
-def _spec(args: argparse.Namespace) -> CombSpec:
+def _spec(args: SimpleNamespace) -> CombSpec:
     return CombSpec(args.m, args.t)
 
 
@@ -52,7 +59,7 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_triangle(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: SimpleNamespace) -> int:
     spec = _spec(args)
     kind = TriangleKind(args.kind)
     tri = engines.triangle(spec, kind, args.rows, args.method)
@@ -66,7 +73,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sums(args: argparse.Namespace) -> int:
+def _cmd_sums(args: SimpleNamespace) -> int:
     spec = _spec(args)
     seq = engines.sums(spec, Metric(args.metric), args.n, args.method)
     if args.format == "bfile":
@@ -74,13 +81,15 @@ def _cmd_sums(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         _emit(",".join(map(str, seq)) + "\n")
     elif args.format == "json":
+        import json
+
         _emit(json.dumps(seq) + "\n")
     else:
         _emit(" ".join(map(str, seq)) + "\n")
     return 0
 
 
-def _cmd_subsets(args: argparse.Namespace) -> int:
+def _cmd_subsets(args: SimpleNamespace) -> int:
     spec = _spec(args)
     if args.count:
         counts = oracle.subset_size_counts(spec, args.n, args.k)
@@ -104,6 +113,8 @@ def _subset_pieces(subsets: Iterator[oracle.RestrictedSubset], fmt: str) -> Iter
         for s in subsets:
             yield line.format(",".join(map(str, s.members)))
         return
+    import json
+
     sep = "["
     for s in subsets:
         yield sep + json.dumps(s.members)
@@ -111,7 +122,7 @@ def _subset_pieces(subsets: Iterator[oracle.RestrictedSubset], fmt: str) -> Iter
     yield "[]\n" if sep == "[" else "]\n"
 
 
-def _cmd_digraph(args: argparse.Namespace) -> int:
+def _cmd_digraph(args: SimpleNamespace) -> int:
     spec = _spec(args)
     dg = build_digraph(spec)
     if args.format == "dot":
@@ -134,17 +145,19 @@ def _cmd_digraph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metatiles(args: argparse.Namespace) -> int:
+def _cmd_metatiles(args: SimpleNamespace) -> int:
     spec = _spec(args)
     tiles = enumerate_metatiles(build_digraph(spec), args.max_tiles)
     if args.format == "json":
+        import json
+
         _emit(json.dumps(tiles) + "\n")
     else:
         _emit("".join(compress_metatile(label) + "\n" for label in tiles))
     return 0
 
 
-def _cmd_recursion(args: argparse.Namespace) -> int:
+def _cmd_recursion(args: SimpleNamespace) -> int:
     spec = _spec(args)
     rel = synthesize(analyze_structure(build_digraph(spec)), Metric(args.metric))
     if args.sums:
@@ -156,7 +169,9 @@ def _cmd_recursion(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
+    from .identities import reports_to_json, run_suite
+
     reports = run_suite(args.profile)
     if args.format == "json":
         _emit(reports_to_json(reports) + "\n")
@@ -176,73 +191,145 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+_REQUIRED = object()
+_SPEC_OPTIONS = (
+    ("--m", _positive, _REQUIRED, "comb gap modulus"),
+    ("--t", _positive, _REQUIRED, "teeth per comb"),
+)
+
+# Every subcommand once: its handler, its help line and its options as
+# (flag, kind, default, help). A kind is a converter, a tuple of choices or
+# bool for a bare flag. argparse and _read are both built from this table.
+# The profile names are identities.PROFILES, sorted; they are spelled here so
+# that only verify imports identities.
+_COMMANDS = {
+    "triangle": (_cmd_triangle, "print a triangle of tiling counts", (
+        *_SPEC_OPTIONS,
+        ("--rows", _positive, 10, None),
+        ("--kind", ("tile", "board"), "tile", None),
+        ("--format", ("csv", "json", "text"), "csv", None),
+        ("--method", engines.METHODS, "auto", None),
+    )),
+    "sums": (_cmd_sums, "print row sums (tiles) or board counts (cells)", (
+        *_SPEC_OPTIONS,
+        ("--n", _positive, 16, "number of terms"),
+        ("--metric", ("tiles", "cells"), "tiles", None),
+        ("--format", ("bfile", "csv", "json", "text"), "text", None),
+        ("--method", engines.METHODS, "auto", None),
+    )),
+    "subsets": (_cmd_subsets, "list or count restricted subsets", (
+        *_SPEC_OPTIONS,
+        ("--n", _nonneg, _REQUIRED, "universe size"),
+        ("--k", _nonneg, None, "subset size"),
+        ("--count", bool, False, "print only the count"),
+        ("--format", ("text", "csv", "json"), "text", None),
+    )),
+    "digraph": (_cmd_digraph, "emit the metatile digraph or its structure", (
+        *_SPEC_OPTIONS,
+        ("--format", ("dot", "json", "text"), "dot", None),
+    )),
+    "metatiles": (_cmd_metatiles, "list metatiles up to a tile bound", (
+        *_SPEC_OPTIONS,
+        ("--max-tiles", _positive, 8, None),
+        ("--format", ("text", "json"), "text", None),
+    )),
+    "recursion": (_cmd_recursion, "print the synthesized recursion relation", (
+        *_SPEC_OPTIONS,
+        ("--metric", ("tiles", "cells"), "tiles", None),
+        ("--sums", bool, False, "project the relation over k"),
+        ("--format", ("text", "json"), "text", None),
+    )),
+    "verify": (_cmd_verify, "run the identity verification suite", (
+        ("--profile", ("full", "quick"), "quick", None),
+        ("--format", ("text", "json"), "text", None),
+    )),
+}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed request, or None to leave it to argparse.
+
+    Reads only a command, then options of its table entry, each at most once
+    and each value as ``--flag value`` that passes its converter or choices.
+    Help, abbreviations, ``--flag=value`` and every usage error are argparse's.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    given: dict[str, object] = {}
+    words = iter(argv[1:])
+    for flag in words:
+        kind = kinds.get(flag)
+        if kind is None or flag in given:
+            return None
+        if kind is bool:
+            given[flag] = True
+        # a flag at the end, with no value, reads as a "-" value
+        elif (text := next(words, "-")).startswith("-"):
+            return None
+        elif isinstance(kind, tuple):
+            if text not in kind:
+                return None
+            given[flag] = text
+        else:
+            try:
+                given[flag] = kind(text)
+            except ValueError:
+                return None
+    values = {
+        flag[2:].replace("-", "_"): given.get(flag, default) for flag, _, default, _ in options
+    }
+    if _REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], **values, func=func)
+
+
 # parse_args leaves the parser unchanged, so one parser serves every main() call
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
+    # the converters raise ValueError, which _read catches without argparse;
+    # argparse prints a converter's own message only for ArgumentTypeError
+    def checked(convert):
+        def check(text: str) -> int:
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return check
+
     parser = argparse.ArgumentParser(
         prog="combtiles",
         description="Counts of board tilings by squares and combs, with "
         "triangles, recursions, digraphs, and a verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_spec(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--m", type=_positive, required=True, help="comb gap modulus")
-        p.add_argument("--t", type=_positive, required=True, help="teeth per comb")
-
-    p = sub.add_parser("triangle", help="print a triangle of tiling counts")
-    add_spec(p)
-    p.add_argument("--rows", type=_positive, default=10)
-    p.add_argument("--kind", choices=["tile", "board"], default="tile")
-    p.add_argument("--format", choices=["csv", "json", "text"], default="csv")
-    p.add_argument("--method", choices=engines.METHODS, default="auto")
-    p.set_defaults(func=_cmd_triangle)
-
-    p = sub.add_parser("sums", help="print row sums (tiles) or board counts (cells)")
-    add_spec(p)
-    p.add_argument("--n", type=_positive, default=16, help="number of terms")
-    p.add_argument("--metric", choices=["tiles", "cells"], default="tiles")
-    p.add_argument("--format", choices=["bfile", "csv", "json", "text"], default="text")
-    p.add_argument("--method", choices=engines.METHODS, default="auto")
-    p.set_defaults(func=_cmd_sums)
-
-    p = sub.add_parser("subsets", help="list or count restricted subsets")
-    add_spec(p)
-    p.add_argument("--n", type=_nonneg, required=True, help="universe size")
-    p.add_argument("--k", type=_nonneg, default=None, help="subset size")
-    p.add_argument("--count", action="store_true", help="print only the count")
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.set_defaults(func=_cmd_subsets)
-
-    p = sub.add_parser("digraph", help="emit the metatile digraph or its structure")
-    add_spec(p)
-    p.add_argument("--format", choices=["dot", "json", "text"], default="dot")
-    p.set_defaults(func=_cmd_digraph)
-
-    p = sub.add_parser("metatiles", help="list metatiles up to a tile bound")
-    add_spec(p)
-    p.add_argument("--max-tiles", type=_positive, default=8, dest="max_tiles")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_metatiles)
-
-    p = sub.add_parser("recursion", help="print the synthesized recursion relation")
-    add_spec(p)
-    p.add_argument("--metric", choices=["tiles", "cells"], default="tiles")
-    p.add_argument("--sums", action="store_true", help="project the relation over k")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_recursion)
-
-    p = sub.add_parser("verify", help="run the identity verification suite")
-    p.add_argument("--profile", choices=sorted(PROFILES), default="quick")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, kind, default, help_text in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, default=default, help=help_text)
+            elif default is _REQUIRED:
+                p.add_argument(flag, type=checked(kind), required=True, help=help_text)
+            else:
+                p.add_argument(flag, type=checked(kind), default=default, help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        # help, a usage error (exit 2), or a well-formed request that the
+        # reader does not take, such as an abbreviated flag
+        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     # counts are printed in full: lift the interpreter's cap on the digits of an
     # int-to-str conversion (3.10.7 and later) while a command runs
     digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0

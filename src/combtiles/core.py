@@ -10,7 +10,6 @@ gives two lower-triangular integer tables related by an index shift.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
@@ -210,6 +209,8 @@ class Triangle(Frozen):
 
     def to_json(self) -> str:
         """JSON object with entries rendered as decimal strings."""
+        import json
+
         obj = {
             "m": self.spec.m,
             "t": self.spec.t,
@@ -226,6 +227,8 @@ class Triangle(Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> "Triangle":
+        import json
+
         obj = json.loads(text)
         spec = CombSpec(int(obj["m"]), int(obj["t"]))
         kind = TriangleKind(obj["kind"])

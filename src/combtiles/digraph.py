@@ -17,7 +17,6 @@ is what recursion synthesis consumes.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .core import CombSpec, Frozen
@@ -164,6 +163,8 @@ class CycleStructure(Frozen):
         return not self.inner_cycles and self.errant is None
 
     def to_json(self) -> str:
+        import json
+
         def dump(cycle: Cycle) -> dict:
             return {
                 "labels": cycle.label,

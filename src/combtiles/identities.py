@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -77,6 +76,8 @@ class CheckReport(Frozen):
 
 
 def reports_to_json(reports: list[CheckReport]) -> str:
+    import json
+
     return json.dumps([r.as_dict() for r in reports], indent=2)
 
 

@@ -11,7 +11,6 @@ Both engines hold a triangle row as one integer with a slot per comb count.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 
 from .core import CombSpec, Frozen, Triangle, TriangleKind, _slot_bytes, _slot_reader
@@ -79,6 +78,8 @@ class RecursionRelation(Frozen):
         return f"{head} = " + " ".join(parts)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "m": self.spec.m,

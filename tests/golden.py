@@ -336,3 +336,17 @@ VERIFY_DIGESTS = {
     ("full", "text"): "df743be8b0f9b36a478a805ee3067affd8c66063455f6a15097f52a768bdf0be",
     ("full", "json"): "c75b008776847d3818d64eee5427d0f555c9f06d8b9ae5c1c86853fd8d3eebdb",
 }
+
+# SHA-256 of `--help` stdout at COLUMNS=80, top level ("") and each
+# subcommand, as argparse lays it out on Python 3.10-3.12 (3.13 changed the
+# layout)
+HELP_DIGESTS = {
+    "": "fdbef4c3bcda4c3a507282604797ac5145646feae5ce2bf14e9977d59ba4c702",
+    "triangle": "94e24ff7c7ee4df070241b29fa481cb2343de62a139318e05ed7a4f5c929f154",
+    "sums": "91e32fa4d4edf2a24cb70de70992346fe7204131071ff3d921a6e2746220f51f",
+    "subsets": "6dd97f803e6fdc22237733be91cf80267211e547b85625cce104788439911ca7",
+    "digraph": "1ca02ba4fa4c0b2bc91436a8125965f2de6ed0f5f13bdccfac37ddb8392c51b7",
+    "metatiles": "60cf7ddc9b7280bbfddf14f368160ea542f2546d0254f77997cac14ac96c4621",
+    "recursion": "267949268ac25edd503462122cd6332826d5ffef9e33bbb52ea49c655d0e8530",
+    "verify": "4d22398c17c9f52f3e57371cd98b25f6cead085154b619b8dca47bc3d5f0f12a",
+}

@@ -3,18 +3,20 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combtiles import engines, oracle
+from combtiles import cli, engines, identities, oracle
 from combtiles.cli import _build_parser, main
 from combtiles.core import CombSpec, TriangleKind
 from combtiles.digraph import analyze_structure, build_digraph, export_dot
@@ -25,6 +27,7 @@ from golden import (
     CELL_SUMS,
     DIGRAPH_DIGESTS,
     DOT_2_3,
+    HELP_DIGESTS,
     STRUCTURE_DIGESTS,
     TILE_SUMS,
     TRIANGLES,
@@ -534,6 +537,118 @@ def test_usage_errors_exit_2(run):
         assert code == 2 and out == "" and "limit" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "line"),
+    [
+        (["triangle", "--m", "2", "--t", "3", "--rows", "abc"],
+         "combtiles triangle: error: argument --rows: expected a positive integer, got abc"),
+        (["sums", "--m", "1", "--t", "2", "--n", "2.5"],
+         "combtiles sums: error: argument --n: expected a positive integer, got 2.5"),
+        (["subsets", "--m", "1", "--t", "2", "--n", "2.5"],
+         "combtiles subsets: error: argument --n: expected a non-negative integer, got 2.5"),
+        (["subsets", "--m", "1", "--t", "2", "--n", "-1"],
+         "combtiles subsets: error: argument --n: expected a non-negative integer, got -1"),
+    ],
+)
+def test_bad_integer_values_name_the_expected_value(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == line
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse's help layout changed in 3.13")
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+def test_profile_choices_are_the_suite_profiles():
+    profile = next(o for o in cli._COMMANDS["verify"][2] if o[0] == "--profile")
+    assert profile[1] == tuple(sorted(identities.PROFILES))
+
+
+_BAD_VALUES = ("-1", "abc", "2.5", "", "bogus", "-h", "--m")
+
+
+def _good_value(kind) -> st.SearchStrategy[str]:
+    return st.sampled_from(kind if isinstance(kind, tuple) else ("1", "2", "3"))
+
+
+def _bad_value(kind) -> st.SearchStrategy[str]:
+    return st.sampled_from(_BAD_VALUES + (("0",) if kind is cli._positive else ()))
+
+
+def _noise(options) -> st.SearchStrategy[list[str]]:
+    """Words that make a request one the direct reader must decline."""
+    option = st.sampled_from(options)
+    return st.one_of(
+        option.flatmap(lambda o: _good_value(o[1]).map(lambda v: [o[0][:-1] or "-", v])),
+        option.flatmap(lambda o: _good_value(o[1]).map(lambda v: [f"{o[0]}={v}"])),
+        option.map(lambda o: [o[0]] if o[1] is not bool else [o[0], "1"]),
+        st.sampled_from([["-h"], ["--help"], ["--"], ["--bogus", "1"], ["extra"]]),
+    )
+
+
+def _outcome_of_main(argv: list[str]) -> tuple[object, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_direct_reader_agrees_with_argparse(data):
+    command = data.draw(st.sampled_from([*cli._COMMANDS, "bogus", "-h"]))
+    options = cli._COMMANDS.get(command, cli._COMMANDS["subsets"])[2]
+    # a well-formed request: every required option and some others, each
+    # once, in any order; then at most one fault
+    chunks = {}
+    for flag, kind, default, _ in options:
+        if default is cli._REQUIRED or data.draw(st.booleans()):
+            chunks[flag] = [flag] if kind is bool else [flag, data.draw(_good_value(kind))]
+    required = [flag for flag, _, default, _ in options if default is cli._REQUIRED]
+    valued = [(flag, kind) for flag, kind, _, _ in options if kind is not bool]
+    fault = data.draw(st.sampled_from(["none", "bad value", "missing", "repeat", "noise"]))
+    extra = []
+    if fault == "bad value":
+        flag, kind = data.draw(st.sampled_from(valued))
+        chunks[flag] = [flag, data.draw(_bad_value(kind))]
+    elif fault == "missing" and required:
+        del chunks[data.draw(st.sampled_from(required))]
+    elif fault == "repeat" and chunks:
+        extra = [data.draw(st.sampled_from(list(chunks.values())))]
+    elif fault == "noise":
+        extra = data.draw(st.lists(_noise(options), min_size=1, max_size=2))
+    else:
+        fault = "none"
+    words = data.draw(st.permutations([*chunks.values(), *extra]))
+    argv = [command, *itertools.chain.from_iterable(words)]
+
+    read = cli._read(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    if command in cli._COMMANDS:
+        assert (read is not None) == (fault == "none"), argv
+    if read is not None:
+        assert vars(read) == parsed, argv
+        outcome = _outcome_of_main(argv)
+        with mock.patch.object(cli, "_read", return_value=None):
+            assert _outcome_of_main(argv) == outcome, argv
+
+
 def test_output_is_deterministic(run):
     first = run("triangle", "--m", "2", "--t", "4", "--rows", "13")
     second = run("triangle", "--m", "2", "--t", "4", "--rows", "13")
@@ -565,19 +680,26 @@ def test_printed_counts_have_no_digit_cap(run):
 
 
 def test_cold_start_avoids_heavy_stdlib_modules():
-    # without site only the package's own imports count: a triangle and a
-    # verify run must load none of these
+    # without site only the package's own imports count: a csv triangle and
+    # a text verify run must load none of these; argparse comes in only for
+    # help and usage errors
     code = """
 import contextlib, io, sys
 from combtiles.cli import main
+heavy = {"argparse", "json", "dataclasses", "inspect", "typing"}
 with contextlib.redirect_stdout(io.StringIO()):
     codes = (main(["triangle", "--m", "2", "--t", "3", "--rows", "8"]),
              main(["verify", "--profile", "quick"]))
-print(codes, sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+print(codes, sorted(heavy & set(sys.modules)))
+with contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(["triangle", "--m", "2", "--t", "3", "--rows", "0"])
+    except SystemExit as exc:
+        print(exc.code, "argparse" in sys.modules)
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
         [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
         capture_output=True, text=True, timeout=120,
     )
-    assert done.stdout == "(0, 0) []\n", done.stderr
+    assert done.stdout == "(0, 0) []\n2 True\n", done.stderr
