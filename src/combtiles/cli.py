@@ -9,7 +9,9 @@ output. Exit codes: 0 success, 1 verification failure or refused structure,
 Each subcommand and its options are declared once, in ``_COMMANDS``. A
 well-formed request is read straight from argv; argparse, built from the same
 table, is imported only for help, usage errors and the forms the direct
-reader leaves to it.
+reader leaves to it. Each engine module is imported by the handler, or the
+``engines`` branch, that runs it, as ``identities`` is by ``verify``;
+annotations naming its types are never evaluated.
 """
 
 from __future__ import annotations
@@ -20,17 +22,8 @@ import sys
 from collections.abc import Iterator
 from types import SimpleNamespace
 
-from . import engines, oracle
-from .core import CombSpec, TriangleKind
-from .digraph import (
-    UnsupportedStructureError,
-    analyze_structure,
-    build_digraph,
-    compress_metatile,
-    enumerate_metatiles,
-    export_dot,
-)
-from .recursion import Metric, project_row_sum, synthesize
+from . import engines
+from .core import CombSpec, Metric, TriangleKind, UnsupportedStructureError
 
 
 def _positive(text: str) -> int:
@@ -90,9 +83,11 @@ def _cmd_sums(args: SimpleNamespace) -> int:
 
 
 def _cmd_subsets(args: SimpleNamespace) -> int:
+    from .oracle import iter_restricted_subsets, subset_size_counts
+
     spec = _spec(args)
     if args.count:
-        counts = oracle.subset_size_counts(spec, args.n, args.k)
+        counts = subset_size_counts(spec, args.n, args.k)
         if args.k is not None:
             counts = counts[args.k : args.k + 1]
         _emit(f"{sum(counts)}\n")
@@ -101,7 +96,7 @@ def _cmd_subsets(args: SimpleNamespace) -> int:
     # thousand subsets at a time; a write per subset would cost a system call
     # per subset on an unbuffered stdout. A refused request raises before the
     # first subset and writes nothing.
-    pieces = _subset_pieces(oracle.iter_restricted_subsets(spec, args.n, args.k), args.format)
+    pieces = _subset_pieces(iter_restricted_subsets(spec, args.n, args.k), args.format)
     while chunk := "".join(itertools.islice(pieces, 4096)):
         _emit(chunk)
     return 0
@@ -123,6 +118,8 @@ def _subset_pieces(subsets: Iterator[oracle.RestrictedSubset], fmt: str) -> Iter
 
 
 def _cmd_digraph(args: SimpleNamespace) -> int:
+    from .digraph import analyze_structure, build_digraph, export_dot
+
     spec = _spec(args)
     dg = build_digraph(spec)
     if args.format == "dot":
@@ -146,6 +143,8 @@ def _cmd_digraph(args: SimpleNamespace) -> int:
 
 
 def _cmd_metatiles(args: SimpleNamespace) -> int:
+    from .digraph import build_digraph, compress_metatile, enumerate_metatiles
+
     spec = _spec(args)
     tiles = enumerate_metatiles(build_digraph(spec), args.max_tiles)
     if args.format == "json":
@@ -158,6 +157,9 @@ def _cmd_metatiles(args: SimpleNamespace) -> int:
 
 
 def _cmd_recursion(args: SimpleNamespace) -> int:
+    from .digraph import analyze_structure, build_digraph
+    from .recursion import project_row_sum, synthesize
+
     spec = _spec(args)
     rel = synthesize(analyze_structure(build_digraph(spec)), Metric(args.metric))
     if args.sums:

@@ -1,4 +1,5 @@
-"""Tile geometry, index conversions, and the triangle container.
+"""Tile geometry, index conversions, the triangle container, and the names
+every engine shares: the two counting metrics and the refusal error.
 
 A board is a linear array of unit cells, numbered from 1. It is tiled
 with squares (one cell each) and combs: a comb has t teeth, each one
@@ -163,6 +164,20 @@ class TriangleKind(Enum):
     BOARD = "board"
 
 
+class Metric(Enum):
+    TILES = "tiles"
+    CELLS = "cells"
+
+    @property
+    def kind(self) -> TriangleKind:
+        """The triangle a walk weight indexes: tile counts or board cells."""
+        return TriangleKind.TILE if self is Metric.TILES else TriangleKind.BOARD
+
+
+class UnsupportedStructureError(RuntimeError):
+    """The cycle taxonomy fits neither the common-node nor errant-loop pattern."""
+
+
 class Triangle(Frozen):
     """Dense lower-triangular table of nonnegative big integers.
 
@@ -223,14 +238,4 @@ class Triangle(Frozen):
     def from_rows(
         cls, spec: CombSpec, kind: TriangleKind, rows: Iterable[Sequence[int]]
     ) -> "Triangle":
-        return cls(spec, kind, rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Triangle":
-        import json
-
-        obj = json.loads(text)
-        spec = CombSpec(int(obj["m"]), int(obj["t"]))
-        kind = TriangleKind(obj["kind"])
-        rows = tuple(tuple(int(e) for e in row) for row in obj["rows"])
         return cls(spec, kind, rows)

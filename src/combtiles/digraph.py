@@ -19,21 +19,17 @@ from __future__ import annotations
 
 import re
 
-from .core import CombSpec, Frozen
+from .core import CombSpec, Frozen, UnsupportedStructureError
 from .oracle import COMB, SQUARE, Tiling, _comb_mask, _tiling
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-_COMB_RUN = re.compile(re.escape(COMB) + "{2,}")
+_COMB_RUN = re.escape(COMB) + "{2,}"
 
 # exhaustive cycle/walk enumeration is exponential on larger digraphs; a
 # fixed step budget turns a blow-up into a deterministic refusal
 _STEP_BUDGET = 2_000_000
 
 _NO_ANCHOR = "no common node and no errant loop restores one"
-
-
-class UnsupportedStructureError(RuntimeError):
-    """The cycle taxonomy fits neither the common-node nor errant-loop pattern."""
 
 
 class _Budget:
@@ -433,7 +429,7 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
 
 def compress_metatile(label: str) -> str:
     """Display form with comb runs shortened: CC becomes C squared, etc."""
-    return _COMB_RUN.sub(lambda run: COMB + str(len(run[0])).translate(_SUPERSCRIPTS), label)
+    return re.sub(_COMB_RUN, lambda run: COMB + str(len(run[0])).translate(_SUPERSCRIPTS), label)
 
 
 def metatile_to_tiling(spec: CombSpec, labels: str) -> Tiling:

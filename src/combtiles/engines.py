@@ -4,28 +4,15 @@
 product closed form (``poly``). Tile triangles and tile sums use the
 recursion synthesized from the digraph's cycle structure when the
 structure classifies and fall back to walk counting otherwise.
+
+Each engine module is imported by the branch that runs it, so a request
+loads only the engine it uses; the annotations that name their types are
+never evaluated.
 """
 
 from __future__ import annotations
 
-from . import oracle
-from .core import CombSpec, Triangle, TriangleKind
-from .digraph import (
-    MetatileDigraph,
-    UnsupportedStructureError,
-    analyze_structure,
-    build_digraph,
-)
-from .polynomials import board_counts, triangle_rows
-from .recursion import (
-    Metric,
-    RecursionRelation,
-    evaluate,
-    project_row_sum,
-    synthesize,
-    walk_count,
-    walk_sums,
-)
+from .core import CombSpec, Metric, Triangle, TriangleKind, UnsupportedStructureError
 
 METHODS = ("auto", "oracle", "poly", "recursion", "walk")
 
@@ -42,6 +29,9 @@ def _check_size(name: str, size: int) -> None:
 
 def _relation(dg: MetatileDigraph, metric: Metric, method: str) -> RecursionRelation | None:
     """The relation synthesized from dg, or None under ``walk`` or a refused ``auto``."""
+    from .digraph import analyze_structure
+    from .recursion import synthesize
+
     try:
         return None if method == "walk" else synthesize(analyze_structure(dg), metric)
     except UnsupportedStructureError:
@@ -55,9 +45,16 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
     _check_method(method)
     _check_size("rows", rows)
     if method == "oracle":
-        return oracle.build_triangle(spec, kind, rows)
+        from .oracle import build_triangle
+
+        return build_triangle(spec, kind, rows)
     if method == "poly" or (method == "auto" and kind is TriangleKind.BOARD):
+        from .polynomials import triangle_rows
+
         return Triangle.from_rows(spec, kind, triangle_rows(spec, kind, rows))
+    from .digraph import build_digraph
+    from .recursion import evaluate, walk_count
+
     metric = Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
     dg = build_digraph(spec)
     if (rel := _relation(dg, metric, method)) is None:
@@ -72,11 +69,18 @@ def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]
     _check_method(method)
     _check_size("n_terms", n_terms)
     if method == "oracle":
-        return list(oracle.build_triangle(spec, metric.kind, n_terms).row_sums())
-    if metric is Metric.CELLS and method in ("auto", "poly"):
-        return board_counts(spec, n_terms)
-    if method == "poly":
+        from .oracle import build_triangle
+
+        return list(build_triangle(spec, metric.kind, n_terms).row_sums())
+    if method == "poly" or (method == "auto" and metric is Metric.CELLS):
+        from .polynomials import board_counts, triangle_rows
+
+        if metric is Metric.CELLS:
+            return board_counts(spec, n_terms)
         return [sum(row) for row in triangle_rows(spec, TriangleKind.TILE, n_terms)]
+    from .digraph import build_digraph
+    from .recursion import evaluate, project_row_sum, walk_sums
+
     dg = build_digraph(spec)
     if (rel := _relation(dg, metric, method)) is None:
         return list(walk_sums(dg, metric, n_terms - 1))

@@ -11,20 +11,8 @@ Both engines hold a triangle row as one integer with a slot per comb count.
 
 from __future__ import annotations
 
-from enum import Enum
-
-from .core import CombSpec, Frozen, Triangle, TriangleKind, _slot_bytes, _slot_reader
+from .core import CombSpec, Frozen, Metric, Triangle, TriangleKind, _slot_bytes, _slot_reader
 from .digraph import Cycle, CycleStructure, MetatileDigraph, UnsupportedStructureError
-
-
-class Metric(Enum):
-    TILES = "tiles"
-    CELLS = "cells"
-
-    @property
-    def kind(self) -> TriangleKind:
-        """The triangle a walk weight indexes: tile counts or board cells."""
-        return TriangleKind.TILE if self is Metric.TILES else TriangleKind.BOARD
 
 
 class RecursionRelation(Frozen):

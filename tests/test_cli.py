@@ -235,7 +235,9 @@ def test_auto_builds_the_digraph_once(monkeypatch):
         calls.append(spec)
         return build_digraph(spec)
 
-    monkeypatch.setattr(engines, "build_digraph", counted)
+    # engines imports build_digraph when a request needs it, so the module's
+    # attribute is the one to patch
+    monkeypatch.setattr("combtiles.digraph.build_digraph", counted)
     # (4,4) is refused and falls back to walk; (2,3) classifies. Board
     # triangles and cell counts take the closed form and build no digraph.
     for spec in [CombSpec(4, 4), CombSpec(2, 3)]:
@@ -680,26 +682,40 @@ def test_printed_counts_have_no_digit_cap(run):
 
 
 def test_cold_start_avoids_heavy_stdlib_modules():
-    # without site only the package's own imports count: a csv triangle and
-    # a text verify run must load none of these; argparse comes in only for
-    # help and usage errors
+    # without site only the package's own imports count. Each request, in a
+    # fresh process, prints its exit code, the package modules that importing
+    # the cli loads, those the request adds, and the heavy modules loaded:
+    # only engines it runs, and argparse only for help and usage errors
     code = """
 import contextlib, io, sys
 from combtiles.cli import main
-heavy = {"argparse", "json", "dataclasses", "inspect", "typing"}
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = (main(["triangle", "--m", "2", "--t", "3", "--rows", "8"]),
-             main(["verify", "--profile", "quick"]))
-print(codes, sorted(heavy & set(sys.modules)))
-with contextlib.redirect_stderr(io.StringIO()):
+def package():
+    return {n[10:] for n in sys.modules if n.startswith("combtiles.")}
+before = package()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        main(["triangle", "--m", "2", "--t", "3", "--rows", "0"])
+        status = main(sys.argv[1:])
     except SystemExit as exc:
-        print(exc.code, "argparse" in sys.modules)
+        status = exc.code
+heavy = {"argparse", "json", "dataclasses", "inspect", "typing"} & set(sys.modules)
+print(status, *sorted(before), "|", *sorted(package() - before), "|", *sorted(heavy))
 """
+    cases = {
+        "triangle --m 2 --t 3 --rows 8": "0 cli core engines | digraph oracle recursion |",
+        "triangle --m 2 --t 3 --kind board": "0 cli core engines | polynomials |",
+        "sums --m 2 --t 3 --metric cells": "0 cli core engines | polynomials |",
+        "subsets --m 2 --t 3 --n 8 --count": "0 cli core engines | oracle |",
+        "digraph --m 2 --t 3": "0 cli core engines | digraph oracle |",
+        "metatiles --m 2 --t 3": "0 cli core engines | digraph oracle |",
+        "verify --profile quick":
+            "0 cli core engines | digraph identities oracle polynomials recursion |",
+        "triangle --m 2 --t 3 --rows 0": "2 cli core engines | | argparse",
+    }
     src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.stdout == "(0, 0) []\n2 True\n", done.stderr
+    for request, expected in cases.items():
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}",
+             *request.split()],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout == expected + "\n", (request, done.stderr)
