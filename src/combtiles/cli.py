@@ -68,17 +68,15 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
 
 def _cmd_sums(args: SimpleNamespace) -> int:
     spec = _spec(args)
-    seq = engines.sums(spec, Metric(args.metric), args.n, args.method)
+    seq = engines.sums_text(spec, Metric(args.metric), args.n, args.method)
     if args.format == "bfile":
         _emit("".join(f"{i} {v}\n" for i, v in enumerate(seq)))
     elif args.format == "csv":
-        _emit(",".join(map(str, seq)) + "\n")
+        _emit(",".join(seq) + "\n")
     elif args.format == "json":
-        import json
-
-        _emit(json.dumps(seq) + "\n")
+        _emit("[" + ", ".join(seq) + "]\n")
     else:
-        _emit(" ".join(map(str, seq)) + "\n")
+        _emit(" ".join(seq) + "\n")
     return 0
 
 

@@ -223,16 +223,17 @@ class Triangle(Frozen):
         return "\n".join([",".join(map(str, row)) for row in self.rows]) + "\n"
 
     def to_json(self) -> str:
-        """JSON object with entries rendered as decimal strings."""
-        import json
+        """JSON object with entries rendered as decimal strings.
 
-        obj = {
-            "m": self.spec.m,
-            "t": self.spec.t,
-            "kind": self.kind.value,
-            "rows": [list(map(str, row)) for row in self.rows],
-        }
-        return json.dumps(obj)
+        Written as ``json.dumps`` writes it, without the json module: the
+        entries are digit strings and the kind is ``tile`` or ``board``, so
+        nothing needs escaping.
+        """
+        rows = ", ".join(['["' + '", "'.join(map(str, row)) + '"]' for row in self.rows])
+        return (
+            f'{{"m": {self.spec.m}, "t": {self.spec.t}, '
+            f'"kind": "{self.kind.value}", "rows": [{rows}]}}'
+        )
 
     @classmethod
     def from_rows(

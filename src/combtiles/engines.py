@@ -64,6 +64,21 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
     return tri
 
 
+def _closed_form(metric: Metric, method: str) -> bool:
+    """Whether ``sums`` takes its terms from the product closed form."""
+    return method == "poly" or (method == "auto" and metric is Metric.CELLS)
+
+
+def sums_text(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[str]:
+    """``sums`` as decimal strings; long closed-form cell counts never pass through int."""
+    if metric is Metric.CELLS and _closed_form(metric, method):
+        _check_size("n_terms", n_terms)
+        from .polynomials import board_count_text
+
+        return board_count_text(spec, n_terms)
+    return list(map(str, sums(spec, metric, n_terms, method)))
+
+
 def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]:
     """Terms 0..n_terms-1: row sums by tile count, or board counts by cells."""
     _check_method(method)
@@ -72,7 +87,7 @@ def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]
         from .oracle import build_triangle
 
         return list(build_triangle(spec, metric.kind, n_terms).row_sums())
-    if method == "poly" or (method == "auto" and metric is Metric.CELLS):
+    if _closed_form(metric, method):
         from .polynomials import board_counts, triangle_rows
 
         if metric is Metric.CELLS:

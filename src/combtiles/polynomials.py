@@ -15,6 +15,7 @@ import functools
 from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import count, islice
+from operator import mul
 
 from .core import CombSpec, Frozen, TriangleKind, _slot_bytes, _slot_reader
 
@@ -248,14 +249,71 @@ def triangle_rows(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[in
     return [cells[rows + n : rows + n + n * stride + 1 : stride] for n in range(rows)]
 
 
+def _board_values(spec: CombSpec, n: int, one):
+    """P_b(1) = f_j(1)^(m-r) * f_{j+1}(1)^r for b = m*j + r = 0..n-1, over the unit ``one``.
+
+    ``one`` is the int 1 or a Decimal 1; every value is built from it by
+    additions and multiplications alone. The strand values f_j(1) come from
+    their recurrence, and powers[k][j] = f_j(1)^k from one product each.
+    The powers of f_{j+1}(1) serve strand j as its high factors and strand
+    j + 1 as its low ones, so each board costs one more product, and the
+    boards of one residue r are filled at once, every m-th place.
+    """
+    m, t = spec.m, spec.t
+    strands = (n - 1) // m + 1
+    # f_0(1), ..., f_strands(1) by f_i = f_{i-1} + f_{i-t}, f_i = 1 for i < t
+    vals = [one] * (strands + 1)
+    for i in range(t, strands + 1):
+        vals[i] = vals[i - 1] + vals[i - t]
+    powers = [[one] * (strands + 1), vals]
+    for _ in range(m - 1):
+        powers.append(list(map(mul, powers[-1], vals)))
+    out = [one] * (m * strands)
+    for r in range(m):
+        out[r::m] = map(mul, powers[m - r][:strands], powers[r][1:])
+    del out[n:]
+    return out
+
+
 def board_counts(spec: CombSpec, n: int) -> list[int]:
     """Tiling counts of the boards of length 0..n-1, P_b(1) for each b."""
-    m = spec.m
-    vals = bonacci_numbers(spec.t, (n - 1) // m + 1)
-    return [
-        vals[j] ** (m - r) * vals[j + 1] ** r
-        for j, r in (divmod(b, m) for b in range(n))
-    ]
+    return _board_values(spec, n, 1)
+
+
+# Where the decimal path of board_count_text starts: a last count of 1660
+# bits, about 500 digits. Timed in cold processes, `import decimal` counted,
+# best of 9 at last counts of 380, 420, ..., 620 digits (2-vCPU x86-64
+# guest, Python 3.11.7): the decimal path leads from 500 digits up on
+# (1,2), from 540 on (5,3) and from 580 on (6,6); from 420 digits up to
+# there the two paths are within 10% of each other, as close as the noise.
+DECIMAL_BITS = 1660
+
+
+def board_count_text(spec: CombSpec, n: int) -> list[str]:
+    """``board_counts(spec, n)`` as decimal strings, built in decimal when they are long.
+
+    CPython converts an int to decimal text in time quadratic in its digits
+    (3.10 and 3.11), so printing n counts of O(n) digits costs O(n^3). From
+    a last count of ``DECIMAL_BITS`` bits on, the counts are computed as
+    ``decimal.Decimal`` values instead, whose text costs linear time. They
+    are exact: the unit 1 is an integer with exponent 0, sums and products
+    of integers with exponent 0 are integers with exponent 0, and no result
+    is rounded, since the context carries ``MAX_PREC`` digits and traps
+    ``Inexact`` and ``Rounded``, so a rounding would raise, not print a wrong
+    count. An integer with exponent 0 prints as its plain digits, as str of
+    the int does.
+    """
+    if n < 1 or antidiagonal_sum_closed(spec, *divmod(n - 1, spec.m)).bit_length() < DECIMAL_BITS:
+        return list(map(str, board_counts(spec, n)))
+    import decimal
+
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+    )
+    with decimal.localcontext(exact):
+        return list(map(str, _board_values(spec, n, decimal.Decimal(1))))
 
 
 def _check_j_r(spec: CombSpec, j: int, r: int) -> None:

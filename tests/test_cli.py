@@ -672,20 +672,31 @@ def test_printed_counts_have_no_digit_cap(run):
         sys.set_int_max_str_digits(640)
     try:
         result = run("sums", "--m", "1", "--t", "2", "--n", "3100", "--metric", "cells")
+        # the closed form prints these counts from decimal; walk prints ints
+        walked = run("sums", "--m", "1", "--t", "2", "--n", "3100", "--metric", "cells",
+                     "--method", "walk")
         after = sys.get_int_max_str_digits() if capped else None
     finally:
         if capped:
             sys.set_int_max_str_digits(before)
-    assert result == (0, expected, "")
+    assert result == walked == (0, expected, "")
     if capped:
         assert after == 640
+
+
+def test_long_cell_counts_match_walk():
+    # the cells-5000 request of the benchmark: 5000 counts, the last of 829
+    # digits, printed from decimal; the walk engine prints them from ints
+    argv = ["sums", "--m", "5", "--t", "3", "--n", "5000", "--metric", "cells"]
+    assert _outcome(*argv, "--method", "poly") == _outcome(*argv, "--method", "walk")
 
 
 def test_cold_start_avoids_heavy_stdlib_modules():
     # without site only the package's own imports count. Each request, in a
     # fresh process, prints its exit code, the package modules that importing
     # the cli loads, those the request adds, and the heavy modules loaded:
-    # only engines it runs, and argparse only for help and usage errors
+    # only engines it runs, argparse only for help and usage errors, json for
+    # none of these requests, and decimal only for cell counts past DECIMAL_BITS
     code = """
 import contextlib, io, sys
 from combtiles.cli import main
@@ -697,13 +708,16 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         status = main(sys.argv[1:])
     except SystemExit as exc:
         status = exc.code
-heavy = {"argparse", "json", "dataclasses", "inspect", "typing"} & set(sys.modules)
+heavy = {"argparse", "json", "dataclasses", "inspect", "typing", "decimal"} & set(sys.modules)
 print(status, *sorted(before), "|", *sorted(package() - before), "|", *sorted(heavy))
 """
     cases = {
         "triangle --m 2 --t 3 --rows 8": "0 cli core engines | digraph oracle recursion |",
         "triangle --m 2 --t 3 --kind board": "0 cli core engines | polynomials |",
         "sums --m 2 --t 3 --metric cells": "0 cli core engines | polynomials |",
+        "sums --m 2 --t 3 --metric cells --format json": "0 cli core engines | polynomials |",
+        "triangle --m 2 --t 3 --kind board --format json": "0 cli core engines | polynomials |",
+        "sums --m 5 --t 3 --n 5000 --metric cells": "0 cli core engines | polynomials | decimal",
         "subsets --m 2 --t 3 --n 8 --count": "0 cli core engines | oracle |",
         "digraph --m 2 --t 3": "0 cli core engines | digraph oracle |",
         "metatiles --m 2 --t 3": "0 cli core engines | digraph oracle |",

@@ -10,6 +10,7 @@ from combtiles.oracle import enumerate_tilings
 from combtiles.polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
+    board_count_text,
     board_counts,
     board_poly,
     bonacci_number,
@@ -140,6 +141,27 @@ def test_antidiagonal_sum_closed_matches_board_counts():
             j, r = divmod(board, m)
             assert antidiagonal_sum_closed(spec, j, r) == expected, (m, t, board)
         assert board_counts(spec, len(sums)) == list(sums), (m, t)
+
+
+def test_board_count_text_at_the_decimal_threshold(monkeypatch):
+    # each family's first count of DECIMAL_BITS bits: one term fewer prints
+    # from ints, that term from decimal, and both match the int counts
+    units = []
+    values = polynomials._board_values
+    monkeypatch.setattr(
+        polynomials, "_board_values", lambda spec, n, one: units.append(one) or values(spec, n, one)
+    )
+    for m in range(1, 7):
+        for t in range(2, 7):
+            spec = CombSpec(m, t)
+            counts = board_counts(spec, 6000)
+            n = next(b for b, c in enumerate(counts) if c.bit_length() >= polynomials.DECIMAL_BITS) + 1
+            for size in (n - 1, n):
+                units.clear()
+                assert board_count_text(spec, size) == list(map(str, counts[:size])), (m, t, size)
+                assert [type(one).__name__ for one in units] == [
+                    "int" if size < n else "Decimal"
+                ], (m, t, size)
 
 
 def _table(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[int]]:
