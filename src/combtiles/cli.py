@@ -106,11 +106,10 @@ def _subset_pieces(subsets: Iterator[oracle.RestrictedSubset], fmt: str) -> Iter
         for s in subsets:
             yield line.format(",".join(map(str, s.members)))
         return
-    import json
-
+    # the bytes json.dumps writes for a list of int lists
     sep = "["
     for s in subsets:
-        yield sep + json.dumps(s.members)
+        yield sep + "[" + ", ".join(map(str, s.members)) + "]"
         sep = ", "
     yield "[]\n" if sep == "[" else "]\n"
 
@@ -129,7 +128,7 @@ def _cmd_digraph(args: SimpleNamespace) -> int:
         return 0
     lines = [
         f"nodes: {len(dg.nodes)}",
-        f"arcs: {len(dg.arcs)}",
+        f"arcs: {len(dg.square) + len(dg.comb)}",
         f"kind: {structure.kind}",
         f"anchor: {structure.anchor or '-'}",
         f"inner cycles: {len(structure.inner_cycles)}",
@@ -146,9 +145,8 @@ def _cmd_metatiles(args: SimpleNamespace) -> int:
     spec = _spec(args)
     tiles = enumerate_metatiles(build_digraph(spec), args.max_tiles)
     if args.format == "json":
-        import json
-
-        _emit(json.dumps(tiles) + "\n")
+        # the bytes json.dumps writes: labels are S and C, so nothing is escaped
+        _emit("[" + ", ".join(f'"{label}"' for label in tiles) + "]\n")
     else:
         _emit("".join(compress_metatile(label) + "\n" for label in tiles))
     return 0

@@ -111,15 +111,25 @@ class CombSpec(Frozen):
 
     def __init__(self, m: int, t: int) -> None:
         self._set(m, t)
-        if self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
-        if self.t < 2:
-            raise ValueError(f"t must be at least 2, got {self.t}")
+        # an int, not a bool or a float: the tile masks are built by shifts
+        if type(self.m) is not int or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        if type(self.t) is not int or self.t < 2:
+            raise ValueError(f"t must be an integer of at least 2, got {self.t!r}")
 
     @property
     def comb_extent(self) -> int:
         """Cells spanned by one comb, gaps included."""
         return (self.t - 1) * self.m + 1
+
+
+SQUARE = "S"
+COMB = "C"
+
+
+def _comb_mask(spec: CombSpec) -> int:
+    """The cells of a comb anchored at cell 0: bits 0, m, ..., (t-1)m."""
+    return ((1 << spec.t * spec.m) - 1) // ((1 << spec.m) - 1)
 
 
 def board_to_tile_index(spec: CombSpec, n_board: int, k: int) -> tuple[int, int]:

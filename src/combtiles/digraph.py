@@ -3,9 +3,10 @@
 A state of a partially built metatile is an int bitmask: bit i is set when
 cell i, counted from the first empty cell, is occupied, so bit 0 is always
 clear and the empty state is 0. A tile is a bitmask too, 1 for a square and
-sum(1 << (i*m) for i < t) for a comb. It fits when it meets no set bit;
-placing it sets its bits, and the state then shifts right past its trailing
-ones to the next empty cell. An S-arc places a square, a C-arc a comb.
+sum(1 << (i*m) for i < t) for a comb. Placing it at the first empty cell
+sets its bits, and the state then shifts right past its trailing ones to the
+next empty cell. An S-arc places a square, a C-arc a comb; every state has
+one of each, so the digraph is two successor functions.
 
 Nodes are numbered, with 0 for the empty state, and every search runs over
 node numbers. Node labels are for display and tie-breaks only: a label is
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .core import CombSpec, Frozen, UnsupportedStructureError
-from .oracle import COMB, SQUARE, Tiling, _comb_mask, _tiling
+from .core import COMB, SQUARE, CombSpec, Frozen, UnsupportedStructureError, _comb_mask
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _COMB_RUN = re.escape(COMB) + "{2,}"
@@ -55,29 +55,42 @@ class Arc(Frozen):
 
 
 class MetatileDigraph(Frozen):
-    """Labelled nodes, with the empty state "0" first, and arcs between them.
+    """Labelled nodes, with the empty state "0" first, and their two successors.
 
-    ``out[u]`` holds the arcs out of node number u as (dst number, arc)
-    pairs, in ``arcs`` order. Equality, hashing and ``repr`` leave it out.
+    ``square[u]`` and ``comb[u]`` number the nodes that an S-arc and a C-arc
+    lead to from node number u. An arc weighs one tile, and one cell for an
+    S-arc or t cells for a C-arc. ``out[u]`` pairs the two with their labels,
+    S first; equality, hashing and ``repr`` leave it out. ``arcs`` builds
+    the arcs as :class:`Arc` values, for output only.
     """
 
-    _fields = ("spec", "nodes", "arcs")
+    _fields = ("spec", "nodes", "square", "comb")
     __slots__ = _fields + ("out",)
 
-    def __init__(self, spec: CombSpec, nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> None:
+    def __init__(
+        self, spec: CombSpec, nodes: tuple[str, ...],
+        square: tuple[int, ...], comb: tuple[int, ...],
+    ) -> None:
         if not nodes or nodes[0] != "0":
             raise ValueError('the first node must be the empty state "0"')
-        index = {node: i for i, node in enumerate(nodes)}
-        if len(index) != len(nodes):
+        if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node label")
-        out: list[list[tuple[int, Arc]]] = [[] for _ in nodes]
-        for arc in arcs:
-            if arc.src not in index or arc.dst not in index:
-                raise ValueError(f"arc {arc.src!r} -> {arc.dst!r} ends at a node not listed")
-            if arc.cell_weight < 1:
-                raise ValueError(f"arc {arc.src!r} -> {arc.dst!r} weighs under one cell")
-            out[index[arc.src]].append((index[arc.dst], arc))
-        self._set(spec, nodes, arcs, tuple(map(tuple, out)))
+        for succ in (square, comb):
+            if len(succ) != len(nodes) or min(succ) < 0 or max(succ) >= len(nodes):
+                raise ValueError("each node needs one successor of each kind, by node number")
+        out = tuple([((s, SQUARE), (c, COMB)) for s, c in zip(square, comb)])
+        self._set(spec, nodes, tuple(square), tuple(comb), out)
+
+    def _arc(self, u: int, label: str) -> Arc:
+        """The arc out of node number u that places the tile ``label``."""
+        if label == SQUARE:
+            return Arc(self.nodes[u], self.nodes[self.square[u]], label, 1, 0)
+        return Arc(self.nodes[u], self.nodes[self.comb[u]], label, self.spec.t, 1)
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc, by source node number, S before C."""
+        return tuple([self._arc(u, x) for u in range(len(self.nodes)) for x in (SQUARE, COMB)])
 
 
 class Cycle(Frozen):
@@ -188,47 +201,45 @@ class CycleStructure(Frozen):
 def build_digraph(spec: CombSpec) -> MetatileDigraph:
     """Closure of the tile-addition step from the empty state 0.
 
-    Nodes are sorted by label length, then label; arcs by source node,
-    S before C.
+    Both tiles fit at every state: a square takes the first empty cell, and
+    a comb anchored there meets no earlier tooth, since a tooth in its
+    residue class would cover that cell (the proof is at
+    ``oracle._tile_masks``). Nodes are sorted by label length, then label.
     """
-    tiles = (
-        (SQUARE, 1, 1, 0),
-        (COMB, _comb_mask(spec), spec.t, 1),
-    )
-    moves: dict[int, list[tuple[int, str, int, int]]] = {0: []}
-    queue = [0]
-    for state in queue:
-        for label, tile, cell_weight, comb_weight in tiles:
-            if state & tile:
-                continue
+    tiles = (1, _comb_mask(spec))
+    number = {0: 0}  # state -> position in the search order
+    states = [0]
+    succ: tuple[list[int], list[int]] = ([], [])
+    for state in states:
+        for tile, dsts in zip(tiles, succ):
             nxt = state | tile
             # shift past the trailing ones, to the new first empty cell
             nxt >>= (~nxt & (nxt + 1)).bit_length() - 1
-            moves[state].append((nxt, label, cell_weight, comb_weight))
-            if nxt not in moves:
-                moves[nxt] = []
-                queue.append(nxt)
-    name = {state: format(state, "b")[::-1] for state in moves}
-    order = sorted(moves, key=lambda s: (len(name[s]), name[s]))
-    arcs = tuple(
-        Arc(name[u], name[v], label, cell_weight, comb_weight)
-        for u in order
-        for v, label, cell_weight, comb_weight in moves[u]
-    )
-    return MetatileDigraph(spec, tuple(name[s] for s in order), arcs)
+            v = number.setdefault(nxt, len(states))
+            if v == len(states):
+                states.append(nxt)
+            dsts.append(v)
+    names = [format(state, "b")[::-1] for state in states]
+    order = sorted(range(len(states)), key=lambda i: (len(names[i]), names[i]))
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    square, comb = ([rank[dsts[i]] for i in order] for dsts in succ)
+    return MetatileDigraph(spec, tuple([names[i] for i in order]), square, comb)
 
 
 def _simple_paths(
     dg: MetatileDigraph, src: int, dst: int, budget: _Budget, what: str, floor: int = 0
-) -> list[tuple[tuple[int, ...], tuple[Arc, ...]]]:
+) -> list[tuple[str, tuple[int, ...]]]:
     """All node-simple paths src to dst whose inner nodes are numbered >= floor.
 
-    Each path is its source node numbers and its arcs; with src == dst the
-    paths are the simple cycles through src. One budget step per arc tried.
+    Each path is its tile labels and its source node numbers; with src ==
+    dst the paths are the simple cycles through src. One budget step per
+    arc tried.
     """
-    paths: list[tuple[tuple[int, ...], tuple[Arc, ...]]] = []
+    paths: list[tuple[str, tuple[int, ...]]] = []
     nodes = [src]
-    arcs: list[Arc] = []
+    labels: list[str] = []
     on_path = {src}
     # stack[i] iterates the arcs out of nodes[i]
     stack = [iter(dg.out[src])]
@@ -236,32 +247,32 @@ def _simple_paths(
         step = next(stack[-1], None)
         if step is None:
             stack.pop()
-            if arcs:
-                arcs.pop()
+            if labels:
+                labels.pop()
                 on_path.remove(nodes.pop())
             continue
         if not budget.spend():
             raise UnsupportedStructureError(f"{what} enumeration exceeded the step budget")
-        v, arc = step
+        v, label = step
         if v == dst:
-            paths.append((tuple(nodes), (*arcs, arc)))
+            paths.append(("".join(labels) + label, tuple(nodes)))
         elif v >= floor and v not in on_path:
             on_path.add(v)
             nodes.append(v)
-            arcs.append(arc)
+            labels.append(label)
             stack.append(iter(dg.out[v]))
     return paths
 
 
-def _sorted_cycles(paths: list[tuple[tuple[int, ...], tuple[Arc, ...]]]) -> list[Cycle]:
-    """Cycles of the paths, by tile count, then label, then node numbers."""
-    paths.sort(key=lambda p: (len(p[1]), "".join(arc.label for arc in p[1]), p[0]))
-    return [Cycle(arcs) for _, arcs in paths]
+def _sorted_cycles(dg: MetatileDigraph, paths: list[tuple[str, tuple[int, ...]]]) -> list[Cycle]:
+    """Cycles of the closed paths, by tile count, then label, then node numbers."""
+    paths.sort(key=lambda p: (len(p[0]), p[0], p[1]))
+    return [Cycle(tuple(map(dg._arc, nodes, labels))) for labels, nodes in paths]
 
 
 def _simple_cycles(dg: MetatileDigraph, budget: _Budget) -> list[Cycle]:
     """Every simple cycle once, rooted at its smallest-numbered node."""
-    return _sorted_cycles([
+    return _sorted_cycles(dg, [
         path
         for start in range(len(dg.nodes))
         for path in _simple_paths(dg, start, start, budget, "cycle", floor=start)
@@ -328,7 +339,7 @@ def _anchor(dg: MetatileDigraph) -> tuple[int | None, int | None]:
     it leaves no cycle. Raises UnsupportedStructureError when no node fits.
     """
     # node 0 keeps no arcs, so it lies on no cycle of succ
-    succ = [[v for v, _ in out if v] for out in dg.out]
+    succ = [[v for v in pair if v] for pair in zip(dg.square, dg.comb)]
     succ[0] = []
     cycle = _find_cycle(succ)
     if cycle is None:
@@ -336,10 +347,8 @@ def _anchor(dg: MetatileDigraph) -> tuple[int | None, int | None]:
     common = _on_every_cycle(succ, cycle)
     if common:
         return min(common, key=dg.nodes.__getitem__), None
-    loops = sorted(
-        (arc.label, e) for e, out in enumerate(dg.out) if e for v, arc in out if v == e
-    )
-    for _, e in loops:
+    loops = [e for dsts in (dg.comb, dg.square) for e, v in enumerate(dsts) if e and v == e]
+    for e in loops:
         # with the loop set aside, a node on every cycle left cannot be e,
         # or e would have been on every cycle already
         dsts = succ[e]
@@ -382,10 +391,10 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
 
     heads = _simple_paths(dg, 0, a, budget, "path")
     tails = _simple_paths(dg, a, 0, budget, "path")
-    circuits = _sorted_cycles([
-        (head_nodes + tail_nodes, head + tail)
-        for head_nodes, head in heads
-        for tail_nodes, tail in tails
+    circuits = _sorted_cycles(dg, [
+        (head + tail, head_nodes + tail_nodes)
+        for head, head_nodes in heads
+        for tail, tail_nodes in tails
     ])
     return CycleStructure(
         dg,
@@ -418,11 +427,11 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
             raise ValueError(
                 "metatile enumeration exceeded the step budget; lower max_tiles"
             )
-        v, arc = step
+        v, label = step
         if v == 0:
-            out.append("".join(labels) + arc.label)
+            out.append("".join(labels) + label)
         elif len(labels) + 1 < max_tiles:
-            labels.append(arc.label)
+            labels.append(label)
             stack.append(iter(dg.out[v]))
     return sorted(out, key=lambda s: (len(s), s))
 
@@ -432,13 +441,15 @@ def compress_metatile(label: str) -> str:
     return re.sub(_COMB_RUN, lambda run: COMB + str(len(run[0])).translate(_SUPERSCRIPTS), label)
 
 
-def metatile_to_tiling(spec: CombSpec, labels: str) -> Tiling:
+def metatile_to_tiling(spec: CombSpec, labels: str) -> oracle.Tiling:
     """Replay a label string as tile placements on a fresh board.
 
     Each tile goes at the leftmost empty cell, as in the oracle's tile
     search, so no two tiles overlap; the board is the cells covered, and
     they must run from cell 1 with no gap.
     """
+    from .oracle import _tiling
+
     comb = _comb_mask(spec)
     occupied, anchors = 1, 0  # bit c is cell c; bit 0 is set
     for ch in labels:
@@ -461,7 +472,8 @@ def export_dot(dg: MetatileDigraph) -> str:
     for node in dg.nodes:
         shape = "doublecircle" if node == "0" else "circle"
         lines.append(f'  "{node}" [shape={shape}];')
-    for arc in dg.arcs:
-        lines.append(f'  "{arc.src}" -> "{arc.dst}" [label="{arc.label}"];')
+    for src, out in zip(dg.nodes, dg.out):
+        for v, label in out:
+            lines.append(f'  "{src}" -> "{dg.nodes[v]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,20 +18,12 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Iterator
 
-from .core import CombSpec, Frozen, Triangle, TriangleKind
-
-SQUARE = "S"
-COMB = "C"
+from .core import COMB, SQUARE, CombSpec, Frozen, Triangle, TriangleKind, _comb_mask
 
 # the enumeration caps: larger requests are refused, not truncated
 MAX_BOARD = 26
 MAX_TILES = 22
 MAX_UNIVERSE = 24
-
-
-def _comb_mask(spec: CombSpec) -> int:
-    """The cells of a comb anchored at cell 0: bits 0, m, ..., (t-1)m."""
-    return ((1 << spec.t * spec.m) - 1) // ((1 << spec.m) - 1)
 
 
 class Tiling(Frozen):

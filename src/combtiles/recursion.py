@@ -213,27 +213,23 @@ def _walks_home(dg: MetatileDigraph, metric: Metric, n_max: int, shift: int) -> 
     """W_n for n = 0..n_max: the walks 0 to 0 of weight n, each counted as 2^(shift*k).
 
     k is the walk's comb count. The dynamic program runs over node numbers
-    and keeps only the layers a step from layer n can still reach, those of
-    weight n + 1 .. n + (largest arc weight).
+    and keeps only the layers a step from layer n can still reach: a square
+    leads to layer n + 1, a comb to layer n + ``heavy``.
     """
-    cells = metric is Metric.CELLS
-    steps = [
-        [(v, arc.cell_weight if cells else 1, shift * arc.comb_weight) for v, arc in out]
-        for out in dg.out
-    ]
-    heaviest = max((w for out in steps for _, w, _ in out), default=1)
+    heavy = dg.spec.t if metric is Metric.CELLS else 1
     # at the top of step n, ahead[j] holds the walks of weight n + j
-    ahead = [[0] * len(steps) for _ in range(heaviest)]
+    ahead = [[0] * len(dg.nodes) for _ in range(heavy)]
     ahead[0][0] = 1
     home: list[int] = []
     for _ in range(n_max + 1):
         layer = ahead.pop(0)
-        ahead.append([0] * len(steps))
+        ahead.append([0] * len(dg.nodes))
         home.append(layer[0])
-        for count, out in zip(layer, steps):
+        near, far = ahead[0], ahead[heavy - 1]
+        for count, s, c in zip(layer, dg.square, dg.comb):
             if count:
-                for v, w, s in out:
-                    ahead[w - 1][v] += count << s
+                near[s] += count
+                far[c] += count << shift
     return home
 
 
@@ -248,37 +244,25 @@ def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
     multiplies a count by 2^w, so W_n of ``_walks_home`` holds entry (n, k)
     in bits w*k .. w*k + w - 1. No slot carries into the next:
 
-    - Let a_w be the most out-arcs of weight w at any one node. Set c_0 = 1
-      and c_n = sum over w <= n of a_w c_(n-w). Every arc weight is >= 1,
-      so a walk of weight n >= 1 from a node is one of at most a_w first
-      arcs of some weight w <= n, then a walk of weight n - w < n from its
-      head. By induction on n, at most c_n walks of weight n start at any
-      one node.
-    - On tiles every arc weighs 1, so c_n = d^n with d the most out-arcs
-      at a node (2 in a built digraph): the plain out-degree bound. On
-      cells a C-arc weighs more than one cell, and c_n is far smaller.
+    - Every node has one S-arc, of weight 1, and one C-arc, of weight h: 1
+      on tiles, t on cells. Set c_0 = 1 and c_n = c_(n-1) + c_(n-h), with
+      c_n = 0 for n < 0. A walk of weight n >= 1 from a node is its first
+      arc, then a walk of weight n - 1 or n - h from that arc's head. By
+      induction on n, at most c_n walks of weight n start at any one node.
+      On tiles c_n = 2^n; on cells it grows far slower.
     - Slot k of the count at any node and weight n <= n_max counts some of
       the walks of weight n from 0, so it stays below 2^w once w is the bit
-      length of the largest c_n with n <= n_max, here rounded up to a slot
-      size (``core._slot_bytes``). Layers past weight n_max are never read.
+      length of c_(n_max), the largest c_n with n <= n_max, here rounded up
+      to a slot size (``core._slot_bytes``). Layers past weight n_max are
+      never read.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if metric is Metric.TILES:
-        most = {1: max(map(len, dg.out))}
-    else:
-        most = {}
-        for out in dg.out:
-            here: dict[int, int] = {}
-            for _, arc in out:
-                here[arc.cell_weight] = here.get(arc.cell_weight, 0) + 1
-            for w, a in here.items():
-                if a > most.get(w, 0):
-                    most[w] = a
+    heavy = dg.spec.t if metric is Metric.CELLS else 1
     bound = [1]
     for n in range(1, n_max + 1):
-        bound.append(sum(a * bound[n - w] for w, a in most.items() if w <= n))
-    width = _slot_bytes(max(bound).bit_length())
+        bound.append(bound[n - 1] + (bound[n - heavy] if n >= heavy else 0))
+    width = _slot_bytes(bound[n_max].bit_length())
     return _unpack(dg.spec, metric.kind, _walks_home(dg, metric, n_max, 8 * width), width)
 
 

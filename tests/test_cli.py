@@ -364,7 +364,8 @@ def test_subsets_listing(run):
     code, out, _ = run(
         "subsets", "--m", "2", "--t", "3", "--n", "4", "--format", "json"
     )
-    assert json.loads(out) == [[], [1], [1, 2], [1, 4], [2], [2, 3], [3], [3, 4], [4]]
+    # written without the json module, as the bytes json.dumps writes
+    assert out == json.dumps([[], [1], [1, 2], [1, 4], [2], [2, 3], [3], [3, 4], [4]]) + "\n"
     code, out, _ = run(
         "subsets", "--m", "2", "--t", "3", "--n", "1", "--k", "2", "--format", "json"
     )
@@ -461,7 +462,7 @@ def test_metatiles_output(run):
     code, out, _ = run(
         "metatiles", "--m", "2", "--t", "3", "--max-tiles", "5", "--format", "json"
     )
-    assert json.loads(out) == ["S", "CC", "CSS", "CSCS", "CSCCS"]
+    assert out == json.dumps(["S", "CC", "CSS", "CSCS", "CSCCS"]) + "\n"
 
 
 def test_metatiles_deeper_than_the_recursion_limit(run):
@@ -712,15 +713,17 @@ heavy = {"argparse", "json", "dataclasses", "inspect", "typing", "decimal"} & se
 print(status, *sorted(before), "|", *sorted(package() - before), "|", *sorted(heavy))
 """
     cases = {
-        "triangle --m 2 --t 3 --rows 8": "0 cli core engines | digraph oracle recursion |",
+        "triangle --m 2 --t 3 --rows 8": "0 cli core engines | digraph recursion |",
         "triangle --m 2 --t 3 --kind board": "0 cli core engines | polynomials |",
         "sums --m 2 --t 3 --metric cells": "0 cli core engines | polynomials |",
         "sums --m 2 --t 3 --metric cells --format json": "0 cli core engines | polynomials |",
         "triangle --m 2 --t 3 --kind board --format json": "0 cli core engines | polynomials |",
         "sums --m 5 --t 3 --n 5000 --metric cells": "0 cli core engines | polynomials | decimal",
         "subsets --m 2 --t 3 --n 8 --count": "0 cli core engines | oracle |",
-        "digraph --m 2 --t 3": "0 cli core engines | digraph oracle |",
-        "metatiles --m 2 --t 3": "0 cli core engines | digraph oracle |",
+        "subsets --m 2 --t 3 --n 4 --format json": "0 cli core engines | oracle |",
+        "digraph --m 2 --t 3": "0 cli core engines | digraph |",
+        "metatiles --m 2 --t 3": "0 cli core engines | digraph |",
+        "metatiles --m 2 --t 3 --format json": "0 cli core engines | digraph |",
         "verify --profile quick":
             "0 cli core engines | digraph identities oracle polynomials recursion |",
         "triangle --m 2 --t 3 --rows 0": "2 cli core engines | | argparse",

@@ -36,6 +36,14 @@ def test_spec_validation():
     assert CombSpec(4, 5).comb_extent == 17
 
 
+def test_spec_rejects_non_integers():
+    # the tile masks are built by shifts, which floats and strings refuse
+    # late; a bool is refused too, though it is an int
+    for m, t in [(2.5, 3), (2, 3.0), (True, 3), (2, True), ("2", 3), (2, None)]:
+        with pytest.raises(ValueError, match="integer"):
+            CombSpec(m, t)
+
+
 def test_index_maps_examples():
     spec = CombSpec(2, 3)
     assert board_to_tile_index(spec, 9, 2) == (5, 2)
@@ -162,13 +170,15 @@ def test_value_repr_replace_and_cache_keys():
 
     assert cached(CombSpec(2, 3)) + cached(CombSpec(2, 3)) == 4 and calls == [spec]
     dg = build_digraph(spec)
-    # the index table is built once, lists dg.arcs by source node number,
-    # and takes no part in equality or repr
-    assert [arc for out in dg.out for _, arc in out] == list(dg.arcs)
-    assert all(
-        (dg.nodes[u], dg.nodes[v]) == (arc.src, arc.dst)
-        for u, out in enumerate(dg.out)
-        for v, arc in out
-    )
+    # out pairs each node's two successors with their labels, S first, lists
+    # the arcs of dg.arcs by source node number, and takes no part in
+    # equality or repr
+    assert dg.out == tuple(((s, "S"), (c, "C")) for s, c in zip(dg.square, dg.comb))
+    assert [(dg.nodes[u], dg.nodes[v], x) for u, out in enumerate(dg.out) for v, x in out] == [
+        (arc.src, arc.dst, arc.label) for arc in dg.arcs
+    ]
+    number = {node: u for u, node in enumerate(dg.nodes)}
+    succ = {(arc.src, arc.label): number[arc.dst] for arc in dg.arcs}
+    square, comb = (tuple(succ[node, x] for node in dg.nodes) for x in "SC")
     assert repr(dg).startswith("MetatileDigraph(spec=CombSpec(m=2, t=3), nodes=(")
-    assert "out=" not in repr(dg) and dg == MetatileDigraph(spec, dg.nodes, dg.arcs)
+    assert "out=" not in repr(dg) and dg == MetatileDigraph(spec, dg.nodes, square, comb)

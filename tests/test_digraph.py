@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import combtiles.digraph as digraph
-from combtiles.core import CombSpec
+from combtiles import engines
+from combtiles.cli import main
+from combtiles.core import CombSpec, Metric, TriangleKind
 from combtiles.digraph import (
     Arc,
     MetatileDigraph,
@@ -19,6 +21,7 @@ from combtiles.digraph import (
     export_dot,
     metatile_to_tiling,
 )
+from combtiles.recursion import walk_count, walk_sums
 
 from golden import DOT_2_3
 
@@ -63,19 +66,18 @@ def test_digraph_2_4():
 
 def test_digraph_rejects_malformed_input():
     spec = CombSpec(2, 3)
-    loop = Arc("0", "0", "S", 1, 0)
     # walks are counted from node number 0, which must be the empty state
     for nodes in [("a", "0"), ()]:
         with pytest.raises(ValueError, match="first node"):
-            MetatileDigraph(spec, nodes, (loop,) if nodes else ())
+            MetatileDigraph(spec, nodes, (0,) * len(nodes), (0,) * len(nodes))
     with pytest.raises(ValueError, match="duplicate node"):
-        MetatileDigraph(spec, ("0", "01", "01"), (loop,))
-    for arc in [Arc("0", "x", "C", 3, 1), Arc("y", "0", "S", 1, 0)]:
-        with pytest.raises(ValueError, match="not listed"):
-            MetatileDigraph(spec, ("0", "01"), (loop, arc))
-    # the walk counters rely on every arc weighing at least one cell
-    with pytest.raises(ValueError, match="under one cell"):
-        MetatileDigraph(spec, ("0",), (Arc("0", "0", "S", 0, 0),))
+        MetatileDigraph(spec, ("0", "01", "01"), (0, 0, 0), (0, 0, 0))
+    # every node has exactly one successor of each kind, a listed node
+    wrong_length = [((0,), (0, 0)), ((0, 0), ()), ((0, 1, 0), (0, 0))]
+    out_of_range = [((0, 2), (0, 0)), ((0, 0), (-1, 0))]
+    for square, comb in wrong_length + out_of_range:
+        with pytest.raises(ValueError, match="one successor of each kind"):
+            MetatileDigraph(spec, ("0", "01"), square, comb)
 
 
 def test_structure_2_3_common():
@@ -216,15 +218,9 @@ def small_digraphs(draw):
     # labels in shuffled order, so a tie broken by node number shows
     n_nodes = draw(st.integers(1, 8))
     labels = draw(st.permutations([f"v{i}" for i in range(1, n_nodes)]))
-    nodes = ("0", *labels)
-    target = st.none() | st.sampled_from(nodes)
-    arcs = []
-    for src in nodes:
-        for label in ("S", "C"):
-            dst = draw(target)
-            if dst is not None:
-                arcs.append(Arc(src, dst, label, 1, int(label == "C")))
-    return MetatileDigraph(CombSpec(2, 3), nodes, tuple(arcs))
+    target = st.integers(0, n_nodes - 1)
+    square, comb = (tuple(draw(target) for _ in range(n_nodes)) for _ in "SC")
+    return MetatileDigraph(CombSpec(2, draw(st.integers(2, 4))), ("0", *labels), square, comb)
 
 
 @settings(max_examples=300, deadline=None)
@@ -241,6 +237,51 @@ def test_anchor_test_matches_cycle_enumeration(dg):
     assert chosen == expected
     st = analyze_structure(dg)
     assert (st.anchor, st.errant_node) == expected
+
+
+def _walks_by_labels(dg: MetatileDigraph, metric: Metric, n_max: int) -> list[list[int]]:
+    """Walks 0 to 0 by weight and comb count, a dict per weight keyed by labels."""
+    out: dict[str, list[Arc]] = {}
+    for arc in dg.arcs:
+        out.setdefault(arc.src, []).append(arc)
+    layers: list[dict[tuple[str, int], int]] = [{} for _ in range(n_max + 1)]
+    layers[0]["0", 0] = 1
+    for n, layer in enumerate(layers):
+        for (node, k), count in layer.items():
+            for arc in out[node]:
+                w = n + (arc.cell_weight if metric is Metric.CELLS else 1)
+                if w <= n_max:
+                    key = (arc.dst, k + arc.comb_weight)
+                    layers[w][key] = layers[w].get(key, 0) + count
+    return [[layer.get(("0", k), 0) for k in range(n + 1)] for n, layer in enumerate(layers)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_digraphs(), st.sampled_from(list(Metric)), st.integers(0, 24))
+def test_walks_match_a_label_keyed_count(dg, metric, n_max):
+    # the array dynamic program and its slot bound, on topologies that
+    # build_digraph never makes
+    rows = _walks_by_labels(dg, metric, n_max)
+    assert [list(row) for row in walk_count(dg, metric, n_max).rows] == rows
+    assert walk_sums(dg, metric, n_max) == tuple(map(sum, rows))
+
+
+def test_counting_and_output_build_no_arc(monkeypatch, capsys):
+    # arcs are built only for dg.arcs and for the cycles a structure lists
+    def no_arc(*args):
+        raise AssertionError("an Arc was built")
+
+    monkeypatch.setattr(digraph, "Arc", no_arc)
+    spec = CombSpec(6, 6)
+    tiles = engines.triangle(spec, TriangleKind.TILE, 6, "auto")
+    assert tiles == engines.triangle(spec, TriangleKind.TILE, 6, "poly")
+    dg = build_digraph(spec)
+    assert walk_sums(dg, Metric.CELLS, 20) == tuple(engines.sums(spec, Metric.CELLS, 21, "poly"))
+    assert export_dot(dg).count(" -> ") == 2 * 6**5
+    assert enumerate_metatiles(dg, 6)[:2] == ["S", "CCCCCC"]
+    capsys.readouterr()
+    assert main(["digraph", "--m", "6", "--t", "6", "--format", "text"]) == 1
+    assert capsys.readouterr().err.startswith("error: no common node")
 
 
 def test_circuit_tails_listed_once(monkeypatch):
