@@ -127,9 +127,22 @@ SQUARE = "S"
 COMB = "C"
 
 
-def _comb_mask(spec: CombSpec) -> int:
-    """The cells of a comb anchored at cell 0: bits 0, m, ..., (t-1)m."""
-    return ((1 << spec.t * spec.m) - 1) // ((1 << spec.m) - 1)
+def _comb_mask(spec: CombSpec, reach: int | None = None) -> int:
+    """Bits 0, m, ..., (t-1)m, a comb anchored at cell 0, or its teeth up to ``reach``.
+
+    The quotient takes time linear in its length while the divisor has at
+    most 30 bits, one or two digits of an int, and quadratic time past
+    that, where the teeth are doubled instead.
+    """
+    m, t = spec.m, spec.t
+    if reach is not None and reach < (t - 1) * m:
+        t = reach // m + 1
+    if m <= 30:
+        return ((1 << t * m) - 1) // ((1 << m) - 1)
+    mask, teeth = 1, 1
+    while teeth < t:
+        mask, teeth = mask | mask << teeth * m, 2 * teeth
+    return mask & (2 << (t - 1) * m) - 1
 
 
 def board_to_tile_index(spec: CombSpec, n_board: int, k: int) -> tuple[int, int]:

@@ -59,13 +59,11 @@ class MetatileDigraph(Frozen):
 
     ``square[u]`` and ``comb[u]`` number the nodes that an S-arc and a C-arc
     lead to from node number u. An arc weighs one tile, and one cell for an
-    S-arc or t cells for a C-arc. ``out[u]`` pairs the two with their labels,
-    S first; equality, hashing and ``repr`` leave it out. ``arcs`` builds
-    the arcs as :class:`Arc` values, for output only.
+    S-arc or t cells for a C-arc. ``arcs`` builds the arcs as :class:`Arc`
+    values, for output only.
     """
 
-    _fields = ("spec", "nodes", "square", "comb")
-    __slots__ = _fields + ("out",)
+    __slots__ = _fields = ("spec", "nodes", "square", "comb")
 
     def __init__(
         self, spec: CombSpec, nodes: tuple[str, ...],
@@ -78,8 +76,7 @@ class MetatileDigraph(Frozen):
         for succ in (square, comb):
             if len(succ) != len(nodes) or min(succ) < 0 or max(succ) >= len(nodes):
                 raise ValueError("each node needs one successor of each kind, by node number")
-        out = tuple([((s, SQUARE), (c, COMB)) for s, c in zip(square, comb)])
-        self._set(spec, nodes, tuple(square), tuple(comb), out)
+        self._set(spec, nodes, tuple(square), tuple(comb))
 
     def _arc(self, u: int, label: str) -> Arc:
         """The arc out of node number u that places the tile ``label``."""
@@ -234,33 +231,29 @@ def _simple_paths(
     """All node-simple paths src to dst whose inner nodes are numbered >= floor.
 
     Each path is its tile labels and its source node numbers; with src ==
-    dst the paths are the simple cycles through src. One budget step per
-    arc tried.
+    dst the paths are the simple cycles through src. Arcs are tried depth
+    first, S before C, one budget step each.
     """
     paths: list[tuple[str, tuple[int, ...]]] = []
     nodes = [src]
     labels: list[str] = []
     on_path = {src}
-    # stack[i] iterates the arcs out of nodes[i]
-    stack = [iter(dg.out[src])]
+    # pending arcs (head, tile, position of the tail on the path), S on top
+    stack = [(dg.comb[src], COMB, 0), (dg.square[src], SQUARE, 0)]
     while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if labels:
-                labels.pop()
-                on_path.remove(nodes.pop())
-            continue
+        v, tile, depth = stack.pop()
+        while len(nodes) > depth + 1:
+            on_path.remove(nodes.pop())
+        del labels[depth:]
         if not budget.spend():
             raise UnsupportedStructureError(f"{what} enumeration exceeded the step budget")
-        v, label = step
         if v == dst:
-            paths.append(("".join(labels) + label, tuple(nodes)))
+            paths.append(("".join(labels) + tile, tuple(nodes)))
         elif v >= floor and v not in on_path:
             on_path.add(v)
             nodes.append(v)
-            labels.append(label)
-            stack.append(iter(dg.out[v]))
+            labels.append(tile)
+            stack += ((dg.comb[v], COMB, depth + 1), (dg.square[v], SQUARE, depth + 1))
     return paths
 
 
@@ -279,35 +272,36 @@ def _simple_cycles(dg: MetatileDigraph, budget: _Budget) -> list[Cycle]:
     ])
 
 
-def _find_cycle(succ: list[list[int]], skip: int | None = None) -> list[int] | None:
-    """Nodes of one cycle of succ that avoids node skip, or None if there is none."""
-    # True while on the DFS path, False once finished, None before
-    state: list[bool | None] = [None] * len(succ)
-    for root in range(len(succ)):
-        if root == skip or state[root] is not None:
+def _find_cycle(square: list[int], comb: list[int], skip: int = 0) -> list[int] | None:
+    """Nodes of one cycle that avoids nodes 0 and skip, or None if there is none.
+
+    An arc into node 0 lies on no such cycle, so pointing it at 0 sets it aside.
+    """
+    # True while on the DFS path, False once finished or left out, None before
+    state: list[bool | None] = [None] * len(square)
+    state[0] = state[skip] = False
+    path: list[int] = []
+    for root in range(len(square)):
+        if state[root] is not None:
             continue
-        # stack[i] iterates the successors of path[i]
-        path = [root]
-        state[root] = True
-        stack = [iter(succ[root])]
+        # pending arcs (head, position of the tail on the path), S on top; the
+        # root has no tail, so its entry first finishes the last root's path
+        stack = [(root, -1)]
         while stack:
-            v = next(stack[-1], None)
-            if v is None:
-                stack.pop()
+            v, depth = stack.pop()
+            while len(path) > depth + 1:
                 state[path.pop()] = False
-            elif v == skip:
-                continue
-            elif state[v] is None:
+            if state[v] is None:
                 state[v] = True
                 path.append(v)
-                stack.append(iter(succ[v]))
+                stack += ((comb[v], depth + 1), (square[v], depth + 1))
             elif state[v]:
                 return path[path.index(v) :]
     return None
 
 
-def _on_every_cycle(succ: list[list[int]], cycle: list[int]) -> list[int]:
-    """The nodes of cycle that lie on every cycle of succ.
+def _on_every_cycle(square: list[int], comb: list[int], cycle: list[int]) -> list[int]:
+    """The nodes of cycle that lie on every cycle that :func:`_find_cycle` sees.
 
     Such a node lies on every cycle found, so each cycle that avoids a
     candidate cuts the candidates down to its own nodes.
@@ -316,7 +310,7 @@ def _on_every_cycle(succ: list[list[int]], cycle: list[int]) -> list[int]:
     found = []
     while candidates:
         v = candidates.pop()
-        other = _find_cycle(succ, skip=v)
+        other = _find_cycle(square, comb, skip=v)
         if other is None:
             found.append(v)
         else:
@@ -338,27 +332,24 @@ def _anchor(dg: MetatileDigraph) -> tuple[int | None, int | None]:
     listing every cycle: a node lies on every cycle exactly when removing
     it leaves no cycle. Raises UnsupportedStructureError when no node fits.
     """
-    # node 0 keeps no arcs, so it lies on no cycle of succ
-    succ = [[v for v in pair if v] for pair in zip(dg.square, dg.comb)]
-    succ[0] = []
-    cycle = _find_cycle(succ)
+    # copies, in which a loop is set aside by pointing it at node 0
+    square, comb = list(dg.square), list(dg.comb)
+    cycle = _find_cycle(square, comb)
     if cycle is None:
         return None, None
-    common = _on_every_cycle(succ, cycle)
+    common = _on_every_cycle(square, comb, cycle)
     if common:
         return min(common, key=dg.nodes.__getitem__), None
-    loops = [e for dsts in (dg.comb, dg.square) for e, v in enumerate(dsts) if e and v == e]
-    for e in loops:
-        # with the loop set aside, a node on every cycle left cannot be e,
-        # or e would have been on every cycle already
-        dsts = succ[e]
-        succ[e] = dsts.copy()
-        succ[e].remove(e)
-        cycle = _find_cycle(succ)
-        shared = _on_every_cycle(succ, cycle) if cycle is not None else []
-        succ[e] = dsts
-        if shared:
-            return min(shared, key=dg.nodes.__getitem__), e
+    for dsts in (comb, square):
+        for e in [e for e, v in enumerate(dsts) if e and v == e]:
+            # with the loop set aside, a node on every cycle left cannot be e,
+            # or e would have been on every cycle already
+            dsts[e] = 0
+            cycle = _find_cycle(square, comb)
+            shared = _on_every_cycle(square, comb, cycle) if cycle is not None else []
+            dsts[e] = e
+            if shared:
+                return min(shared, key=dg.nodes.__getitem__), e
     raise UnsupportedStructureError(_NO_ANCHOR)
 
 
@@ -412,27 +403,31 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
     if max_tiles < 1:
         raise ValueError("max_tiles must be >= 1")
     budget = _Budget(_STEP_BUDGET)
+    square, comb = dg.square, dg.comb
     out: list[str] = []
     labels: list[str] = []
-    # stack[i] iterates the arcs out of the node reached by labels[:i]
-    stack = [iter(dg.out[0])]
+    # stack[i] stands for the node that labels[:i] reach, with no object made
+    # per node: u while its S-arc is to be tried, ~u while its C-arc is, and
+    # None once both have been
+    stack: list[int | None] = [0]
     while stack:
-        step = next(stack[-1], None)
-        if step is None:
+        u = stack[-1]
+        if u is None:
             stack.pop()
             if labels:
                 labels.pop()
             continue
+        if u >= 0:
+            stack[-1], v, tile = ~u, square[u], SQUARE
+        else:
+            stack[-1], v, tile = None, comb[~u], COMB
         if not budget.spend():
-            raise ValueError(
-                "metatile enumeration exceeded the step budget; lower max_tiles"
-            )
-        v, label = step
+            raise ValueError("metatile enumeration exceeded the step budget; lower max_tiles")
         if v == 0:
-            out.append("".join(labels) + label)
+            out.append("".join(labels) + tile)
         elif len(labels) + 1 < max_tiles:
-            labels.append(label)
-            stack.append(iter(dg.out[v]))
+            labels.append(tile)
+            stack.append(v)
     return sorted(out, key=lambda s: (len(s), s))
 
 
@@ -468,12 +463,10 @@ def metatile_to_tiling(spec: CombSpec, labels: str) -> oracle.Tiling:
 
 def export_dot(dg: MetatileDigraph) -> str:
     """Fixed-format DOT rendering (stable across runs)."""
-    lines = ["digraph metatiles {", "  rankdir=LR;"]
-    for node in dg.nodes:
-        shape = "doublecircle" if node == "0" else "circle"
-        lines.append(f'  "{node}" [shape={shape}];')
-    for src, out in zip(dg.nodes, dg.out):
-        for v, label in out:
-            lines.append(f'  "{src}" -> "{dg.nodes[v]}" [label="{label}"];')
+    lines = ["digraph metatiles {", "  rankdir=LR;", '  "0" [shape=doublecircle];']
+    lines += [f'  "{node}" [shape=circle];' for node in dg.nodes[1:]]
+    for src, s, c in zip(dg.nodes, dg.square, dg.comb):
+        lines.append(f'  "{src}" -> "{dg.nodes[s]}" [label="{SQUARE}"];')
+        lines.append(f'  "{src}" -> "{dg.nodes[c]}" [label="{COMB}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

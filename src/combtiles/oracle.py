@@ -245,7 +245,7 @@ class RestrictedSubset(Frozen):
             raise ValueError(f"members must lie in 1..{self.n}")
         # each member's banned offsets against one mask of all members, so the
         # pair named is the first in (a, b) order
-        ban = _comb_mask(self.spec) ^ 1  # offsets m, 2m, ..., (t-1)m
+        ban = _comb_mask(self.spec, self.n) ^ 1  # offsets m, 2m, ..., (t-1)m up to n
         mask = 0
         for v in self.members:
             mask |= 1 << v
@@ -266,9 +266,9 @@ def _subset_masks(spec: CombSpec, n: int, most: int | None) -> Iterator[int]:
     Only subsets of at most ``most`` members are searched (all when None).
     A stack entry is a subset already yielded with the candidates it may
     still take. Taking the lowest candidate v yields the child and drops
-    v + m, ..., v + (t-1)m from the child's candidates, a running banned
-    mask in place of a test of every pair; v's later siblings stay below
-    it on the stack.
+    v + m, ..., v + (t-1)m, those up to n, from the child's candidates: a
+    running banned mask in place of a test of every pair. v's later
+    siblings stay below it on the stack.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -276,7 +276,7 @@ def _subset_masks(spec: CombSpec, n: int, most: int | None) -> Iterator[int]:
         raise ValueError(f"universe {n} exceeds the enumeration limit {MAX_UNIVERSE}")
     if most is not None and most < 0:
         raise ValueError("k must be >= 0")
-    ban = _comb_mask(spec) ^ 1  # offsets m, 2m, ..., (t-1)m
+    ban = _comb_mask(spec, n) ^ 1  # offsets m, 2m, ..., (t-1)m up to n
     yield 0
     stack = [(0, (2 << n) - 2, n if most is None else most)]  # (members, candidates, room)
     pop, push = stack.pop, stack.append
@@ -297,9 +297,10 @@ def subset_size_counts(spec: CombSpec, n: int, k: int | None = None) -> list[int
 
     One search over member masks, with no subset built. With k given the
     search stops at k members, so the entries past k read 0. The checks and
-    limit are those of :func:`enumerate_restricted_subsets`.
+    limit are those of :func:`enumerate_restricted_subsets`; the table is
+    sized by the limit, not by n, which a refused request may put far past it.
     """
-    return _histogram(_subset_masks(spec, n, k), n + 1)
+    return _histogram(_subset_masks(spec, n, k), MAX_UNIVERSE + 1)[: n + 1]
 
 
 def iter_restricted_subsets(

@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -372,6 +373,22 @@ def test_subsets_listing(run):
     assert (code, out) == (0, "[]\n")
 
 
+def test_subsets_cost_follows_the_universe(run):
+    # no difference inside {1..5} is a multiple of 10^7, so all 2^5 subsets
+    # count; the ban masks reach only to n, not across the 9 * 10^7 bits of a comb
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run("subsets", "--m", "10000000", "--t", "10", "--n", "5", "--count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "32\n", "")
+    assert time.perf_counter() - start < 1.0 and peak < 1_000_000, peak
+    code, out, _ = run("subsets", "--m", "10000000", "--t", "10", "--n", "2")
+    assert (code, out) == (0, "{}\n{1}\n{1,2}\n{2}\n")
+
+
 class _DigestOut:
     """A stdout that keeps only a running SHA-256 of the text written to it."""
 
@@ -538,6 +555,9 @@ def test_usage_errors_exit_2(run):
     for fmt in ("text", "json"):
         code, out, err = run("subsets", "--m", "2", "--t", "3", "--n", "30", "--format", fmt)
         assert code == 2 and out == "" and "limit" in err
+    # a count is refused before its table of n + 1 sizes is allocated
+    code, out, err = run("subsets", "--m", "2", "--t", "3", "--n", str(10**20), "--count")
+    assert (code, out) == (2, "") and err == f"error: universe {10**20} exceeds the enumeration limit 24\n"
 
 
 @pytest.mark.parametrize(

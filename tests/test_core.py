@@ -11,6 +11,7 @@ from combtiles.core import (
     CombSpec,
     Triangle,
     TriangleKind,
+    _comb_mask,
     board_to_tile_index,
     max_combs,
     tile_to_board_index,
@@ -42,6 +43,18 @@ def test_spec_rejects_non_integers():
     for m, t in [(2.5, 3), (2, 3.0), (True, 3), (2, True), ("2", 3), (2, None)]:
         with pytest.raises(ValueError, match="integer"):
             CombSpec(m, t)
+
+
+def test_comb_mask_grid():
+    # the quotient up to m = 30 and the doubling past it, each with the
+    # teeth cut at every reach
+    for m in range(1, 70):
+        for t in range(2, 12):
+            spec = CombSpec(m, t)
+            assert _comb_mask(spec) == sum(1 << i * m for i in range(t)), (m, t)
+            for reach in range(t * m + 2):
+                expected = sum(1 << i * m for i in range(t) if i * m <= reach)
+                assert _comb_mask(spec, reach) == expected, (m, t, reach)
 
 
 def test_index_maps_examples():
@@ -170,15 +183,17 @@ def test_value_repr_replace_and_cache_keys():
 
     assert cached(CombSpec(2, 3)) + cached(CombSpec(2, 3)) == 4 and calls == [spec]
     dg = build_digraph(spec)
-    # out pairs each node's two successors with their labels, S first, lists
-    # the arcs of dg.arcs by source node number, and takes no part in
-    # equality or repr
-    assert dg.out == tuple(((s, "S"), (c, "C")) for s, c in zip(dg.square, dg.comb))
-    assert [(dg.nodes[u], dg.nodes[v], x) for u, out in enumerate(dg.out) for v, x in out] == [
-        (arc.src, arc.dst, arc.label) for arc in dg.arcs
+    # dg.arcs lists each node's S-arc then its C-arc, by source node number,
+    # and the digraph is its four fields and nothing else
+    assert [(arc.src, arc.dst, arc.label) for arc in dg.arcs] == [
+        (dg.nodes[u], dg.nodes[v], x)
+        for u in range(len(dg.nodes))
+        for v, x in ((dg.square[u], "S"), (dg.comb[u], "C"))
     ]
+    assert not hasattr(dg, "out") and not hasattr(dg, "__dict__")
     number = {node: u for u, node in enumerate(dg.nodes)}
     succ = {(arc.src, arc.label): number[arc.dst] for arc in dg.arcs}
     square, comb = (tuple(succ[node, x] for node in dg.nodes) for x in "SC")
+    assert (square, comb) == (dg.square, dg.comb)
     assert repr(dg).startswith("MetatileDigraph(spec=CombSpec(m=2, t=3), nodes=(")
-    assert "out=" not in repr(dg) and dg == MetatileDigraph(spec, dg.nodes, square, comb)
+    assert dg == MetatileDigraph(spec, dg.nodes, square, comb)

@@ -311,6 +311,40 @@ def test_step_budget_is_effective(monkeypatch):
         enumerate_metatiles(build_digraph(CombSpec(2, 3)), 6)
 
 
+# steps spent per search, one per arc tried: a structure listing's cycles,
+# heads and tails share one budget, and a metatile listing has its own
+STRUCTURE_STEPS = {(2, 3): 16, (2, 5): 38, (4, 2): 82}
+
+
+def test_search_steps_are_pinned(monkeypatch):
+    budgets = []
+
+    class Recorded(digraph._Budget):
+        def __init__(self, steps: int) -> None:
+            super().__init__(steps)
+            budgets.append(self)
+
+    monkeypatch.setattr(digraph, "_Budget", Recorded)
+    for (m, t), steps in STRUCTURE_STEPS.items():
+        budgets.clear()
+        analyze_structure(build_digraph(CombSpec(m, t)))
+        assert [digraph._STEP_BUDGET - b.left for b in budgets] == [steps], (m, t)
+    budgets.clear()
+    assert len(enumerate_metatiles(build_digraph(CombSpec(2, 3)), 3000)) == 3000
+    assert [digraph._STEP_BUDGET - b.left for b in budgets] == [6000]
+    # a budget of exactly the steps spent suffices, and one step fewer refuses
+    monkeypatch.setattr(digraph, "_STEP_BUDGET", 16)
+    analyze_structure(build_digraph(CombSpec(2, 3)))
+    monkeypatch.setattr(digraph, "_STEP_BUDGET", 15)
+    with pytest.raises(UnsupportedStructureError, match="step budget"):
+        analyze_structure(build_digraph(CombSpec(2, 3)))
+    monkeypatch.setattr(digraph, "_STEP_BUDGET", 6000)
+    assert len(enumerate_metatiles(build_digraph(CombSpec(2, 3)), 3000)) == 3000
+    monkeypatch.setattr(digraph, "_STEP_BUDGET", 5999)
+    with pytest.raises(ValueError, match="step budget"):
+        enumerate_metatiles(build_digraph(CombSpec(2, 3)), 3000)
+
+
 def test_structure_json_shape():
     st = analyze_structure(build_digraph(CombSpec(2, 5)))
     payload = json.loads(st.to_json())
