@@ -128,21 +128,15 @@ COMB = "C"
 
 
 def _comb_mask(spec: CombSpec, reach: int | None = None) -> int:
-    """Bits 0, m, ..., (t-1)m, a comb anchored at cell 0, or its teeth up to ``reach``.
-
-    The quotient takes time linear in its length while the divisor has at
-    most 30 bits, one or two digits of an int, and quadratic time past
-    that, where the teeth are doubled instead.
-    """
+    """Bits 0, m, ..., (t-1)m, a comb anchored at cell 0, or its teeth up to ``reach``."""
     m, t = spec.m, spec.t
     if reach is not None and reach < (t - 1) * m:
         t = reach // m + 1
-    if m <= 30:
-        return ((1 << t * m) - 1) // ((1 << m) - 1)
+    # doubling takes linear time, a quotient by 2^m - 1 quadratic time past m = 30
     mask, teeth = 1, 1
-    while teeth < t:
+    while 2 * teeth < t:
         mask, teeth = mask | mask << teeth * m, 2 * teeth
-    return mask & (2 << (t - 1) * m) - 1
+    return mask | mask << (t - teeth) * m  # the copies overlap unless t is a power of 2
 
 
 def board_to_tile_index(spec: CombSpec, n_board: int, k: int) -> tuple[int, int]:

@@ -297,8 +297,7 @@ def subset_size_counts(spec: CombSpec, n: int, k: int | None = None) -> list[int
 
     One search over member masks, with no subset built. With k given the
     search stops at k members, so the entries past k read 0. The checks and
-    limit are those of :func:`enumerate_restricted_subsets`; the table is
-    sized by the limit, not by n, which a refused request may put far past it.
+    limit are those of :func:`enumerate_restricted_subsets`; a refused n sizes no table.
     """
     return _histogram(_subset_masks(spec, n, k), MAX_UNIVERSE + 1)[: n + 1]
 

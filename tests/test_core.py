@@ -46,8 +46,7 @@ def test_spec_rejects_non_integers():
 
 
 def test_comb_mask_grid():
-    # the quotient up to m = 30 and the doubling past it, each with the
-    # teeth cut at every reach
+    # the doubled teeth, for t a power of 2 and not, cut at every reach
     for m in range(1, 70):
         for t in range(2, 12):
             spec = CombSpec(m, t)
