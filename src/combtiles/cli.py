@@ -153,11 +153,9 @@ def _cmd_metatiles(args: SimpleNamespace) -> int:
 
 
 def _cmd_recursion(args: SimpleNamespace) -> int:
-    from .digraph import analyze_structure, build_digraph
-    from .recursion import project_row_sum, synthesize
+    from .recursion import project_row_sum
 
-    spec = _spec(args)
-    rel = synthesize(analyze_structure(build_digraph(spec)), Metric(args.metric))
+    rel = engines.relation(_spec(args), Metric(args.metric))
     if args.sums:
         rel = project_row_sum(rel)
     if args.format == "json":

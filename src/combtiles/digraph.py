@@ -28,6 +28,9 @@ _COMB_RUN = re.escape(COMB) + "{2,}"
 # exhaustive cycle/walk enumeration is exponential on larger digraphs; a
 # fixed step budget turns a blow-up into a deterministic refusal
 _STEP_BUDGET = 2_000_000
+# a metatile listing holds its labels until it sorts them, about T^2/2 characters
+# for T tiles on (2,3); a fixed bound on them (10,000 tiles fit) refuses past it
+_LABEL_CHARS = 60_000_000
 
 _NO_ANCHOR = "no common node and no errant loop restores one"
 
@@ -78,48 +81,35 @@ class MetatileDigraph(Frozen):
                 raise ValueError("each node needs one successor of each kind, by node number")
         self._set(spec, nodes, tuple(square), tuple(comb))
 
-    def _arc(self, u: int, label: str) -> Arc:
-        """The arc out of node number u that places the tile ``label``."""
-        if label == SQUARE:
-            return Arc(self.nodes[u], self.nodes[self.square[u]], label, 1, 0)
-        return Arc(self.nodes[u], self.nodes[self.comb[u]], label, self.spec.t, 1)
-
     @property
     def arcs(self) -> tuple[Arc, ...]:
         """Every arc, by source node number, S before C."""
-        return tuple([self._arc(u, x) for u in range(len(self.nodes)) for x in (SQUARE, COMB)])
+        nodes, t, out = self.nodes, self.spec.t, []
+        for src, s, c in zip(nodes, self.square, self.comb):
+            out += Arc(src, nodes[s], SQUARE, 1, 0), Arc(src, nodes[c], COMB, t, 1)
+        return tuple(out)
 
 
 class Cycle(Frozen):
-    """A closed walk (or, for circuits, a 0-to-0 walk) as its arc sequence."""
+    """A closed walk (or a circuit's 0-to-0 walk) that places tile label[i] at nodes[i]."""
 
-    __slots__ = _fields = ("arcs", "plain")
+    __slots__ = _fields = ("label", "nodes", "n_cells", "plain")
 
-    def __init__(self, arcs: tuple[Arc, ...], plain: bool = True) -> None:
-        self._set(arcs, plain)
+    def __init__(
+        self, label: str, nodes: tuple[str, ...], n_cells: int, plain: bool = True
+    ) -> None:
+        self._set(label, nodes, n_cells, plain)
 
     @property
     def n_tiles(self) -> int:
-        return len(self.arcs)
+        return len(self.label)
 
     @property
     def n_combs(self) -> int:
-        return sum(arc.comb_weight for arc in self.arcs)
-
-    @property
-    def n_cells(self) -> int:
-        return sum(arc.cell_weight for arc in self.arcs)
-
-    @property
-    def label(self) -> str:
-        return "".join(arc.label for arc in self.arcs)
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(arc.src for arc in self.arcs)
+        return self.label.count(COMB)
 
     def visits(self, node: str) -> bool:
-        return any(arc.src == node for arc in self.arcs)
+        return node in self.nodes
 
 
 class CycleStructure(Frozen):
@@ -153,7 +143,7 @@ class CycleStructure(Frozen):
 
     @property
     def errant_node(self) -> str | None:
-        return self.errant.arcs[0].src if self.errant is not None else None
+        return self.errant.nodes[0] if self.errant is not None else None
 
     @property
     def kind(self) -> str:
@@ -260,7 +250,11 @@ def _simple_paths(
 def _sorted_cycles(dg: MetatileDigraph, paths: list[tuple[str, tuple[int, ...]]]) -> list[Cycle]:
     """Cycles of the closed paths, by tile count, then label, then node numbers."""
     paths.sort(key=lambda p: (len(p[0]), p[0], p[1]))
-    return [Cycle(tuple(map(dg._arc, nodes, labels))) for labels, nodes in paths]
+    nodes, wider = dg.nodes, dg.spec.t - 1  # a comb covers t cells, a square one
+    return [
+        Cycle(labels, tuple([nodes[u] for u in path]), len(labels) + wider * labels.count(COMB))
+        for labels, path in paths
+    ]
 
 
 def _simple_cycles(dg: MetatileDigraph, budget: _Budget) -> list[Cycle]:
@@ -402,7 +396,7 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
     """Label strings of all walks 0 to 0 (not revisiting 0) with <= max_tiles arcs."""
     if max_tiles < 1:
         raise ValueError("max_tiles must be >= 1")
-    budget = _Budget(_STEP_BUDGET)
+    budget, chars = _Budget(_STEP_BUDGET), _LABEL_CHARS
     square, comb = dg.square, dg.comb
     out: list[str] = []
     # stack[i] is the node that labels[1 : i + 1] reach, an int state with no object
@@ -423,6 +417,9 @@ def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
         if not budget.spend():
             raise ValueError("metatile enumeration exceeded the step budget; lower max_tiles")
         if v == 0:
+            chars -= len(labels)  # labels[0] is "", and tile ends the label
+            if chars < 0:
+                raise ValueError("metatile listing exceeded its character bound; lower max_tiles")
             out.append("".join(labels) + tile)
         elif len(labels) < max_tiles:
             labels.append(tile)

@@ -24,8 +24,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import engines
-from .core import CombSpec, Frozen, Triangle, TriangleKind, board_to_tile_index, max_combs
-from .digraph import CycleStructure, analyze_structure, build_digraph
+from .core import CombSpec, Frozen, Metric, Triangle, TriangleKind, board_to_tile_index, max_combs
 from .oracle import _board_comb_counts, subset_size_counts
 from .polynomials import (
     IntPolynomial,
@@ -35,7 +34,7 @@ from .polynomials import (
     bonacci_poly,
     power_series_div,
 )
-from .recursion import Metric, RecursionRelation, project_row_sum, synthesize
+from .recursion import RecursionRelation, project_row_sum
 
 
 class GridProfile(Frozen):
@@ -107,11 +106,6 @@ def _binom(a: int, b: int) -> int:
 @functools.lru_cache(maxsize=128)
 def _triangle(spec: CombSpec, kind: TriangleKind, n_max: int) -> Triangle:
     return engines.triangle(spec, kind, n_max + 1, "walk")
-
-
-@functools.lru_cache(maxsize=16)
-def _structure(spec: CombSpec) -> CycleStructure:
-    return analyze_structure(build_digraph(spec))
 
 
 def _specs(p: GridProfile) -> list[CombSpec]:
@@ -495,7 +489,7 @@ def _check_subset_recurrence(p: GridProfile, rec: _Recorder) -> str:
 @_check
 def _check_rr_exact(p: GridProfile, rec: _Recorder) -> str:
     for (m, t), expected in sorted(_KNOWN_ENTRY_RELATIONS.items()):
-        rel = synthesize(_structure(CombSpec(m, t)), Metric.TILES)
+        rel = engines.relation(CombSpec(m, t), Metric.TILES)
         rec.record(f"m={m} t={t} tiles by k", expected, _relation_terms(rel))
     return "specs (2,3),(2,4),(4,2),(2,5)"
 
@@ -503,10 +497,10 @@ def _check_rr_exact(p: GridProfile, rec: _Recorder) -> str:
 @_check
 def _check_sums_exact(p: GridProfile, rec: _Recorder) -> str:
     for (m, t), expected in sorted(_KNOWN_TILE_SUM_RELATIONS.items()):
-        rel = project_row_sum(synthesize(_structure(CombSpec(m, t)), Metric.TILES))
+        rel = project_row_sum(engines.relation(CombSpec(m, t), Metric.TILES))
         rec.record(f"m={m} t={t} tile sums", expected, _relation_terms(rel))
     for (m, t), expected in sorted(_KNOWN_CELL_SUM_RELATIONS.items()):
-        rel = project_row_sum(synthesize(_structure(CombSpec(m, t)), Metric.CELLS))
+        rel = project_row_sum(engines.relation(CombSpec(m, t), Metric.CELLS))
         rec.record(f"m={m} t={t} cell sums", expected, _relation_terms(rel))
     return "specs (2,3),(2,4),(4,2),(2,5)"
 

@@ -742,6 +742,10 @@ print(status, *sorted(before), "|", *sorted(package() - before), "|", *sorted(he
         "digraph --m 2 --t 3": "0 cli core engines | digraph |",
         "metatiles --m 2 --t 3": "0 cli core engines | digraph |",
         "metatiles --m 2 --t 3 --format json": "0 cli core engines | digraph |",
+        "recursion --m 2 --t 3": "0 cli core engines | digraph recursion |",
+        "recursion --m 2 --t 3 --sums --format json": "0 cli core engines | digraph recursion | json",
+        "recursion --m 6 --t 6": "1 cli core engines | digraph recursion |",
+        "sums --m 2 --t 3 --method oracle": "0 cli core engines | oracle |",
         "verify --profile quick":
             "0 cli core engines | digraph identities oracle polynomials recursion |",
         "triangle --m 2 --t 3 --rows 0": "2 cli core engines | | argparse",

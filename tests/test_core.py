@@ -136,7 +136,7 @@ VALUE_FACTORIES = [
     lambda: Triangle(CombSpec(2, 3), TriangleKind.TILE, ((1,), (1, 0))),
     _arc,
     lambda: build_digraph(CombSpec(2, 3)),
-    lambda: Cycle((_arc(),)),
+    lambda: Cycle("S", ("0",), 1),
     lambda: analyze_structure(build_digraph(CombSpec(2, 5))),
     lambda: Tiling(CombSpec(2, 3), 1, (("S", 1),)),
     lambda: RestrictedSubset(CombSpec(2, 3), 3, (1, 2)),
@@ -169,9 +169,13 @@ def test_value_repr_replace_and_cache_keys():
     assert spec.replace(t=4) == CombSpec(2, 4)
     with pytest.raises(ValueError):
         spec.replace(m=0)
-    cycle = Cycle((_arc(),))
+    # the circuit of (2,3): a comb at the empty state, then two squares
+    cycle = Cycle("CSS", ("0", "0101", "01"), 5)
+    assert (cycle.n_tiles, cycle.n_combs, cycle.visits("01"), cycle.visits("1")) == (
+        3, 1, True, False
+    )
     flipped = cycle.replace(plain=False)
-    assert flipped.arcs is cycle.arcs and not flipped.plain and cycle.plain
+    assert flipped.nodes is cycle.nodes and not flipped.plain and cycle.plain
     assert flipped != cycle
     calls = []
 

@@ -267,7 +267,7 @@ def test_walks_match_a_label_keyed_count(dg, metric, n_max):
 
 
 def test_counting_and_output_build_no_arc(monkeypatch, capsys):
-    # arcs are built only for dg.arcs and for the cycles a structure lists
+    # arcs are built only for dg.arcs: a structure lists its cycles by label
     def no_arc(*args):
         raise AssertionError("an Arc was built")
 
@@ -279,6 +279,8 @@ def test_counting_and_output_build_no_arc(monkeypatch, capsys):
     assert walk_sums(dg, Metric.CELLS, 20) == tuple(engines.sums(spec, Metric.CELLS, 21, "poly"))
     assert export_dot(dg).count(" -> ") == 2 * 6**5
     assert enumerate_metatiles(dg, 6)[:2] == ["S", "CCCCCC"]
+    assert analyze_structure(build_digraph(CombSpec(2, 5))).errant_node == "0101"
+    assert engines.relation(CombSpec(4, 2), Metric.CELLS).tracks_k
     capsys.readouterr()
     assert main(["digraph", "--m", "6", "--t", "6", "--format", "text"]) == 1
     assert capsys.readouterr().err.startswith("error: no common node")
@@ -343,6 +345,19 @@ def test_search_steps_are_pinned(monkeypatch):
     monkeypatch.setattr(digraph, "_STEP_BUDGET", 5999)
     with pytest.raises(ValueError, match="step budget"):
         enumerate_metatiles(build_digraph(CombSpec(2, 3)), 3000)
+
+
+def test_metatile_listing_bounds_its_characters(monkeypatch, capsys):
+    # each listed label is charged to a fixed bound: on (2,3) the labels of
+    # at most 5 tiles total 1 + 2 + 3 + 4 + 5 = 15 characters
+    monkeypatch.setattr(digraph, "_LABEL_CHARS", 15)
+    assert len(enumerate_metatiles(build_digraph(CombSpec(2, 3)), 5)) == 5
+    monkeypatch.setattr(digraph, "_LABEL_CHARS", 14)
+    capsys.readouterr()
+    assert main(["metatiles", "--m", "2", "--t", "3", "--max-tiles", "5"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: metatile listing exceeded its character bound; lower max_tiles\n"
+    )
 
 
 def test_structure_json_shape():
