@@ -1,5 +1,6 @@
-"""Tile geometry, index conversions, the triangle container, and the names
-every engine shares: the two counting metrics and the refusal error.
+"""Tile geometry, the board-to-tile index map, the triangle container, and
+the names every engine shares: the two counting metrics and the refusal
+error.
 
 A board is a linear array of unit cells, numbered from 1. It is tiled
 with squares (one cell each) and combs: a comb has t teeth, each one
@@ -117,11 +118,6 @@ class CombSpec(Frozen):
         if type(self.t) is not int or self.t < 2:
             raise ValueError(f"t must be an integer of at least 2, got {self.t!r}")
 
-    @property
-    def comb_extent(self) -> int:
-        """Cells spanned by one comb, gaps included."""
-        return (self.t - 1) * self.m + 1
-
 
 SQUARE = "S"
 COMB = "C"
@@ -147,11 +143,6 @@ def board_to_tile_index(spec: CombSpec, n_board: int, k: int) -> tuple[int, int]
     implicit zeros of the triangles.
     """
     return (n_board - (spec.t - 1) * k, k)
-
-
-def tile_to_board_index(spec: CombSpec, n_tiles: int, k: int) -> tuple[int, int]:
-    """Inverse of :func:`board_to_tile_index`."""
-    return (n_tiles + (spec.t - 1) * k, k)
 
 
 def max_combs(spec: CombSpec, J: int, R: int) -> int:
@@ -220,10 +211,6 @@ class Triangle(Frozen):
         if frozen and frozen[0] != (1,):
             raise ValueError("entry (0,0) must be 1")
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
     def entry(self, n: int, k: int) -> int:
         """Entry (n, k), with implicit zeros for k < 0, k > n, or n < 0."""
         if n < 0 or k < 0 or k > n:
@@ -251,9 +238,3 @@ class Triangle(Frozen):
             f'{{"m": {self.spec.m}, "t": {self.spec.t}, '
             f'"kind": "{self.kind.value}", "rows": [{rows}]}}'
         )
-
-    @classmethod
-    def from_rows(
-        cls, spec: CombSpec, kind: TriangleKind, rows: Iterable[Sequence[int]]
-    ) -> "Triangle":
-        return cls(spec, kind, rows)

@@ -93,12 +93,10 @@ class MetatileDigraph(Frozen):
 class Cycle(Frozen):
     """A closed walk (or a circuit's 0-to-0 walk) that places tile label[i] at nodes[i]."""
 
-    __slots__ = _fields = ("label", "nodes", "n_cells", "plain")
+    __slots__ = _fields = ("label", "nodes", "n_cells")
 
-    def __init__(
-        self, label: str, nodes: tuple[str, ...], n_cells: int, plain: bool = True
-    ) -> None:
-        self._set(label, nodes, n_cells, plain)
+    def __init__(self, label: str, nodes: tuple[str, ...], n_cells: int) -> None:
+        self._set(label, nodes, n_cells)
 
     @property
     def n_tiles(self) -> int:
@@ -113,50 +111,44 @@ class Cycle(Frozen):
 
 
 class CycleStructure(Frozen):
-    """Classified cycles of a metatile digraph.
+    """Cycles of a metatile digraph, classified by the anchor and errant loop of :func:`_anchor`.
 
     Exactly one of three shapes:
-      - degenerate: no inner cycles at all (common_node and errant are None);
-      - common: common_node is on every inner cycle;
-      - pseudo: an errant self-loop at node E is set aside, after which
-        pseudo_common is on every remaining inner cycle.
+      - degenerate: no inner cycles at all (anchor and errant are None);
+      - common: the anchor, the common node, is on every inner cycle;
+      - pseudo: an errant self-loop is set aside, after which the anchor,
+        the pseudo-common node, is on every remaining inner cycle.
     inner_cycles never includes the errant loop itself. Outer cycles pass
-    through "0" and avoid the anchor node; circuits pass through both.
+    through "0" and avoid the anchor; circuits pass through both.
     """
 
     __slots__ = _fields = ("digraph", "inner_cycles", "outer_cycles", "circuits",
-                           "common_node", "pseudo_common", "errant")
+                           "anchor", "errant")
 
     def __init__(
         self, digraph: MetatileDigraph, inner_cycles: tuple[Cycle, ...],
         outer_cycles: tuple[Cycle, ...], circuits: tuple[Cycle, ...],
-        common_node: str | None = None, pseudo_common: str | None = None,
-        errant: Cycle | None = None,
+        anchor: str | None = None, errant: Cycle | None = None,
     ) -> None:
-        self._set(
-            digraph, inner_cycles, outer_cycles, circuits, common_node, pseudo_common, errant
-        )
+        self._set(digraph, inner_cycles, outer_cycles, circuits, anchor, errant)
 
     @property
-    def anchor(self) -> str | None:
-        return self.common_node if self.common_node is not None else self.pseudo_common
+    def common_node(self) -> str | None:
+        return self.anchor if self.errant is None else None
 
     @property
-    def errant_node(self) -> str | None:
-        return self.errant.nodes[0] if self.errant is not None else None
+    def pseudo_common(self) -> str | None:
+        return self.anchor if self.errant is not None else None
 
     @property
     def kind(self) -> str:
         if self.errant is not None:
             return "pseudo"
-        if self.inner_cycles:
-            return "common"
-        return "degenerate"
+        return "common" if self.anchor is not None else "degenerate"
 
-    @property
-    def finite_metatiles(self) -> bool:
-        # no cycle avoids "0", so every metatile is a simple cycle
-        return not self.inner_cycles and self.errant is None
+    def plain(self, cycle: Cycle) -> bool:
+        """Whether cycle avoids the errant loop's node; every cycle does if there is none."""
+        return self.errant is None or not cycle.visits(self.errant.nodes[0])
 
     def to_json(self) -> str:
         import json
@@ -168,7 +160,7 @@ class CycleStructure(Frozen):
                 "tiles": cycle.n_tiles,
                 "combs": cycle.n_combs,
                 "cells": cycle.n_cells,
-                "plain": cycle.plain,
+                "plain": self.plain(cycle),
             }
 
         payload = {
@@ -365,15 +357,10 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
     if a is None:
         return CycleStructure(dg, (), tuple(cycles), ())
     anchor = dg.nodes[a]
-    e_node = dg.nodes[e] if e is not None else None
+    # the errant loop is the one cycle on its node alone: a second loop there
+    # would be an inner cycle that misses the pseudo-common node
+    loop = (dg.nodes[e],) if e is not None else None
     inner = [c for c in cycles if not c.visits("0")]
-    errant = next((c for c in inner if c.n_tiles == 1 and c.visits(e_node)), None)
-
-    def finish(cycle: Cycle) -> Cycle:
-        if e_node is None:
-            return cycle
-        return cycle.replace(plain=not cycle.visits(e_node))
-
     heads = _simple_paths(dg, 0, a, budget, "path")
     tails = _simple_paths(dg, a, 0, budget, "path")
     circuits = _sorted_cycles(dg, [
@@ -383,12 +370,11 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
     ])
     return CycleStructure(
         dg,
-        tuple(finish(c) for c in inner if c is not errant),
-        tuple(finish(c) for c in cycles if c.visits("0") and not c.visits(anchor)),
-        tuple(map(finish, circuits)),
-        common_node=anchor if errant is None else None,
-        pseudo_common=anchor if errant is not None else None,
-        errant=errant.replace(plain=False) if errant is not None else None,
+        tuple(c for c in inner if c.nodes != loop),
+        tuple(c for c in cycles if c.visits("0") and not c.visits(anchor)),
+        tuple(circuits),
+        anchor,
+        next((c for c in inner if c.nodes == loop), None),
     )
 
 

@@ -21,6 +21,9 @@ METHODS = ("auto", "oracle", "poly", "recursion", "walk")
 def _check(method: str, name: str, size: int) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    # an int, not a bool or a float, as CombSpec takes m and t
+    if type(size) is not int:
+        raise ValueError(f"{name} must be an integer, got {size!r}")
     if size < 1:
         raise ValueError(f"{name} must be >= 1")
 
@@ -61,7 +64,7 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
     if _closed_form(kind, method):
         from .polynomials import triangle_rows
 
-        return Triangle.from_rows(spec, kind, triangle_rows(spec, kind, rows))
+        return Triangle(spec, kind, triangle_rows(spec, kind, rows))
     from .recursion import evaluate, walk_count
 
     metric = Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS

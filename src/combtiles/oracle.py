@@ -209,7 +209,7 @@ def build_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
         if rows - 1 > MAX_BOARD:
             raise ValueError(f"{rows} rows exceeds the board limit {MAX_BOARD}")
         table = [list(_board_comb_counts(spec, n)) for n in range(rows)]
-        return Triangle.from_rows(spec, kind, table)
+        return Triangle(spec, kind, table)
 
     if rows - 1 > MAX_TILES:
         raise ValueError(f"{rows} rows exceeds the tile limit {MAX_TILES}")
@@ -224,7 +224,7 @@ def build_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
                         f"enumeration routes disagree at ({n},{k}): "
                         f"{table[n][k]} by tiles vs {via_board} by board"
                     )
-    return Triangle.from_rows(spec, kind, table)
+    return Triangle(spec, kind, table)
 
 
 class RestrictedSubset(Frozen):

@@ -101,9 +101,10 @@ def synthesize(structure: CycleStructure, metric: Metric) -> RecursionRelation:
 
     Errant-loop shape: requires exactly one plain and one non-plain inner
     cycle besides the loop, and every outer cycle plain; adds the loop/plain
-    cross terms and subtracts the loop shift from every plain circuit.
+    cross terms and subtracts the loop shift from every plain circuit. A
+    cycle is plain when it avoids the loop's node (``structure.plain``).
     """
-    spec = structure.digraph.spec
+    spec, plain = structure.digraph.spec, structure.plain
 
     def w(cycle: Cycle) -> int:
         return cycle.n_cells if metric is Metric.CELLS else cycle.n_tiles
@@ -123,14 +124,14 @@ def synthesize(structure: CycleStructure, metric: Metric) -> RecursionRelation:
         for circ in structure.circuits:
             shifts.append((w(circ), circ.n_combs, 1))
     else:
-        plain_inner = [c for c in structure.inner_cycles if c.plain]
-        other_inner = [c for c in structure.inner_cycles if not c.plain]
+        plain_inner = [c for c in structure.inner_cycles if plain(c)]
+        other_inner = [c for c in structure.inner_cycles if not plain(c)]
         if len(plain_inner) != 1 or len(other_inner) != 1:
             raise UnsupportedStructureError(
                 "errant-loop synthesis needs exactly one plain and one "
                 "non-plain inner cycle besides the loop"
             )
-        if not all(c.plain for c in structure.outer_cycles):
+        if not all(map(plain, structure.outer_cycles)):
             raise UnsupportedStructureError(
                 "errant-loop synthesis needs every outer cycle plain"
             )
@@ -152,7 +153,7 @@ def synthesize(structure: CycleStructure, metric: Metric) -> RecursionRelation:
                 shifts.append((lo + length, ko + kc, -1))
         for circ in structure.circuits:
             shifts.append((w(circ), circ.n_combs, 1))
-            if circ.plain:
+            if plain(circ):
                 shifts.append((w(circ) + lens[0], circ.n_combs + combs[0], -1))
 
     return RecursionRelation(spec, metric, True, _collect(deltas), _collect(shifts))
@@ -179,13 +180,13 @@ def evaluate(rel: RecursionRelation, n_max: int) -> Triangle | tuple[int, ...]:
     past k = n (the constructor checks dk <= dn and k0 <= n0), so B_n(y) =
     sum over k of B(n,k) y^k obeys the relation as a polynomial identity and
     y = 2^w is a ring map, negative coefficients included. Entry (n, k)
-    counts tilings of at most n tiles, so 0 <= B(n,k) <= 2^n < 2^w once w
-    is n_max + 1 bits, here rounded up to a slot size (``core._slot_bytes``).
+    counts walks from 0 to 0 of weight n, so the slots of :func:`_slot_width`
+    hold it: n_max + 1 bits on tiles, fewer on cells.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    width = _slot_bytes(n_max + 1) if rel.tracks_k else 0
     packed = [0] * (n_max + 1)
+    width = _slot_width(rel.spec, rel.metric, n_max) if rel.tracks_k else 0
     for n0, k0, coeff in rel.delta_terms:
         if n0 <= n_max:
             packed[n0] += coeff << 8 * width * (k0 or 0)
@@ -206,7 +207,28 @@ def _unpack(spec: CombSpec, kind: TriangleKind, packed: list[int], width: int) -
     the slots are word-sized, one ``int.from_bytes`` per entry when wider.
     """
     read = _slot_reader(width)
-    return Triangle.from_rows(spec, kind, [read(value, n + 1) for n, value in enumerate(packed)])
+    return Triangle(spec, kind, [read(value, n + 1) for n, value in enumerate(packed)])
+
+
+def _slot_width(spec: CombSpec, metric: Metric, n_max: int) -> int:
+    """Bytes per slot that hold a count of walks of weight n <= n_max from any node.
+
+    Every node has one S-arc, of weight 1, and one C-arc, of weight h: 1 on
+    tiles, t on cells. Set c_0 = 1 and c_n = c_(n-1) + c_(n-h), with c_n = 0
+    for n < 0. A walk of weight n >= 1 from a node is its first arc, then a
+    walk of weight n - 1 or n - h from that arc's head. By induction on n,
+    at most c_n walks of weight n start at any one node. On tiles c_n = 2^n;
+    on cells it grows far slower. c_n rises with n, so c_(n_max) bounds
+    them all; its bit length is rounded up to a slot size
+    (``core._slot_bytes``).
+    """
+    if metric is Metric.TILES:
+        return _slot_bytes(n_max + 1)  # c_n = 2^n, with no loop over n
+    recent = [0] * (spec.t - 1) + [1]  # c_(n-t+1) .. c_n, from n = 0
+    for _ in range(n_max):
+        recent.append(recent[-1] + recent[-spec.t])
+        del recent[0]
+    return _slot_bytes(recent[-1].bit_length())
 
 
 def _walks_home(dg: MetatileDigraph, metric: Metric, n_max: int, shift: int) -> list[int]:
@@ -242,27 +264,14 @@ def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
 
     Row n is read off one integer (Kronecker substitution): every C-arc
     multiplies a count by 2^w, so W_n of ``_walks_home`` holds entry (n, k)
-    in bits w*k .. w*k + w - 1. No slot carries into the next:
-
-    - Every node has one S-arc, of weight 1, and one C-arc, of weight h: 1
-      on tiles, t on cells. Set c_0 = 1 and c_n = c_(n-1) + c_(n-h), with
-      c_n = 0 for n < 0. A walk of weight n >= 1 from a node is its first
-      arc, then a walk of weight n - 1 or n - h from that arc's head. By
-      induction on n, at most c_n walks of weight n start at any one node.
-      On tiles c_n = 2^n; on cells it grows far slower.
-    - Slot k of the count at any node and weight n <= n_max counts some of
-      the walks of weight n from 0, so it stays below 2^w once w is the bit
-      length of c_(n_max), the largest c_n with n <= n_max, here rounded up
-      to a slot size (``core._slot_bytes``). Layers past weight n_max are
-      never read.
+    in bits w*k .. w*k + w - 1. No slot carries into the next: slot k of the
+    count at any node and weight n <= n_max counts some of the walks of
+    weight n from 0, which :func:`_slot_width` bounds. Layers past weight
+    n_max are never read.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    heavy = dg.spec.t if metric is Metric.CELLS else 1
-    bound = [1]
-    for n in range(1, n_max + 1):
-        bound.append(bound[n - 1] + (bound[n - heavy] if n >= heavy else 0))
-    width = _slot_bytes(bound[n_max].bit_length())
+    width = _slot_width(dg.spec, metric, n_max)
     return _unpack(dg.spec, metric.kind, _walks_home(dg, metric, n_max, 8 * width), width)
 
 

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -181,6 +182,16 @@ def test_engines_reject_sizes_below_one():
             for metric in Metric:
                 with pytest.raises(ValueError, match="^n_terms must be >= 1$"):
                     engines.sums(spec, metric, size, method)
+        # a size is an int, not a float or a bool, as CombSpec takes m and t
+        for size in [2.5, 3.0, True, "3", None]:
+            got = re.escape(repr(size))
+            for kind in TriangleKind:
+                with pytest.raises(ValueError, match=f"^rows must be an integer, got {got}$"):
+                    engines.triangle(spec, kind, size, method)
+            for metric in Metric:
+                for count in (engines.sums, engines.sums_text):
+                    with pytest.raises(ValueError, match=f"^n_terms must be an integer, got {got}$"):
+                        count(spec, metric, size, method)
 
 
 def test_parser_is_reused_across_calls(capsys):

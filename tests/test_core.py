@@ -14,7 +14,6 @@ from combtiles.core import (
     _comb_mask,
     board_to_tile_index,
     max_combs,
-    tile_to_board_index,
 )
 from combtiles.digraph import Arc, Cycle, MetatileDigraph, analyze_structure, build_digraph
 from combtiles.identities import CheckReport, GridProfile
@@ -32,9 +31,6 @@ def test_spec_validation():
         CombSpec(0, 3)
     with pytest.raises(ValueError):
         CombSpec(2, 1)
-    assert CombSpec(1, 2).comb_extent == 2
-    assert CombSpec(2, 3).comb_extent == 5
-    assert CombSpec(4, 5).comb_extent == 17
 
 
 def test_spec_rejects_non_integers():
@@ -59,14 +55,17 @@ def test_comb_mask_grid():
 def test_index_maps_examples():
     spec = CombSpec(2, 3)
     assert board_to_tile_index(spec, 9, 2) == (5, 2)
-    assert tile_to_board_index(spec, 5, 2) == (9, 2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(specs, st.integers(min_value=-5, max_value=40), st.integers(min_value=0, max_value=20))
 def test_index_maps_roundtrip(spec, n, k):
-    assert board_to_tile_index(spec, *tile_to_board_index(spec, n, k)) == (n, k)
-    assert tile_to_board_index(spec, *board_to_tile_index(spec, n, k)) == (n, k)
+    # the inverse map: n tiles, k of them combs, cover n + (t-1)k cells
+    def tile_to_board(n_tiles: int, k: int) -> tuple[int, int]:
+        return (n_tiles + (spec.t - 1) * k, k)
+
+    assert board_to_tile_index(spec, *tile_to_board(n, k)) == (n, k)
+    assert tile_to_board(*board_to_tile_index(spec, n, k)) == (n, k)
 
 
 def test_max_combs_examples():
@@ -89,8 +88,8 @@ def test_max_combs_monotone_in_j(spec, j):
 
 def test_triangle_entry_semantics():
     spec = CombSpec(2, 3)
-    tri = Triangle.from_rows(spec, TriangleKind.TILE, [[1], [1, 0], [1, 0, 1]])
-    assert tri.n_rows == 3
+    tri = Triangle(spec, TriangleKind.TILE, [[1], [1, 0], [1, 0, 1]])
+    assert len(tri.rows) == 3
     assert tri.entry(2, 2) == 1
     assert tri.entry(2, 3) == 0
     assert tri.entry(2, -1) == 0
@@ -102,16 +101,16 @@ def test_triangle_entry_semantics():
 def test_triangle_validation():
     spec = CombSpec(2, 3)
     with pytest.raises(ValueError):
-        Triangle.from_rows(spec, TriangleKind.TILE, [[1], [1]])
+        Triangle(spec, TriangleKind.TILE, [[1], [1]])
     with pytest.raises(ValueError):
-        Triangle.from_rows(spec, TriangleKind.TILE, [[2]])
+        Triangle(spec, TriangleKind.TILE, [[2]])
     with pytest.raises(ValueError):
-        Triangle.from_rows(spec, TriangleKind.TILE, [[1], [1, -1]])
+        Triangle(spec, TriangleKind.TILE, [[1], [1, -1]])
 
 
 def test_triangle_serialization_roundtrip():
     spec = CombSpec(2, 4)
-    tri = Triangle.from_rows(
+    tri = Triangle(
         spec, TriangleKind.BOARD, [[1], [1, 0], [1, 0, 0], [1, 0, 0, 0]]
     )
     assert tri.to_csv() == "1\n1,0\n1,0,0\n1,0,0,0\n"
@@ -122,7 +121,7 @@ def test_triangle_serialization_roundtrip():
 
 def test_triangle_row_sums():
     spec = CombSpec(2, 3)
-    tri = Triangle.from_rows(spec, TriangleKind.TILE, [[1], [1, 0], [1, 0, 1]])
+    tri = Triangle(spec, TriangleKind.TILE, [[1], [1, 0], [1, 0, 1]])
     assert tri.row_sums() == (1, 1, 2)
 
 
@@ -174,9 +173,12 @@ def test_value_repr_replace_and_cache_keys():
     assert (cycle.n_tiles, cycle.n_combs, cycle.visits("01"), cycle.visits("1")) == (
         3, 1, True, False
     )
-    flipped = cycle.replace(plain=False)
-    assert flipped.nodes is cycle.nodes and not flipped.plain and cycle.plain
-    assert flipped != cycle
+    wider = cycle.replace(n_cells=7)
+    assert wider.nodes is cycle.nodes and wider.n_cells == 7 and cycle.n_cells == 5
+    assert wider != cycle
+    # plainness is read off a structure: (2,5) sets aside the C-loop at "0101"
+    st = analyze_structure(build_digraph(CombSpec(2, 5)))
+    assert not st.plain(cycle) and st.replace(errant=None).plain(cycle)
     calls = []
 
     @functools.lru_cache(maxsize=None)

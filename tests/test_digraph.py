@@ -12,6 +12,7 @@ from combtiles.cli import main
 from combtiles.core import CombSpec, Metric, TriangleKind
 from combtiles.digraph import (
     Arc,
+    Cycle,
     MetatileDigraph,
     UnsupportedStructureError,
     analyze_structure,
@@ -30,8 +31,8 @@ def arcs_of(dg):
     return [(a.src, a.label, a.dst) for a in dg.arcs]
 
 
-def cycle_info(cycles):
-    return [(c.label, c.n_tiles, c.n_combs, c.n_cells, c.plain) for c in cycles]
+def cycle_info(st, cycles):
+    return [(c.label, c.n_tiles, c.n_combs, c.n_cells, st.plain(c)) for c in cycles]
 
 
 def test_digraph_2_3():
@@ -83,24 +84,23 @@ def test_digraph_rejects_malformed_input():
 def test_structure_2_3_common():
     st = analyze_structure(build_digraph(CombSpec(2, 3)))
     assert st.kind == "common"
-    assert st.anchor == "01"
-    assert st.errant is None and st.errant_node is None
-    assert not st.finite_metatiles
-    assert cycle_info(st.inner_cycles) == [("C", 1, 1, 3, True)]
-    assert cycle_info(st.outer_cycles) == [("S", 1, 0, 1, True), ("CC", 2, 2, 6, True)]
-    assert cycle_info(st.circuits) == [("CSS", 3, 1, 5, True)]
+    assert st.anchor == st.common_node == "01"
+    assert st.errant is None and st.pseudo_common is None
+    assert cycle_info(st, st.inner_cycles) == [("C", 1, 1, 3, True)]
+    assert cycle_info(st, st.outer_cycles) == [("S", 1, 0, 1, True), ("CC", 2, 2, 6, True)]
+    assert cycle_info(st, st.circuits) == [("CSS", 3, 1, 5, True)]
 
 
 def test_structure_2_4_common():
     st = analyze_structure(build_digraph(CombSpec(2, 4)))
     assert st.kind == "common"
     assert st.anchor == "01"
-    assert cycle_info(st.inner_cycles) == [
+    assert cycle_info(st, st.inner_cycles) == [
         ("CC", 2, 2, 8, True),
         ("CS", 2, 1, 5, True),
     ]
-    assert cycle_info(st.outer_cycles) == [("S", 1, 0, 1, True), ("CC", 2, 2, 8, True)]
-    assert cycle_info(st.circuits) == [
+    assert cycle_info(st, st.outer_cycles) == [("S", 1, 0, 1, True), ("CC", 2, 2, 8, True)]
+    assert cycle_info(st, st.circuits) == [
         ("CSCS", 4, 2, 10, True),
         ("CSSS", 4, 1, 7, True),
     ]
@@ -111,15 +111,14 @@ def test_structure_2_5_pseudo_common():
     assert st.kind == "pseudo"
     assert st.common_node is None
     assert st.pseudo_common == "01" and st.anchor == "01"
-    assert st.errant_node == "0101"
-    assert st.errant.label == "C" and not st.errant.plain
+    assert st.errant == Cycle("C", ("0101",), 5) and not st.plain(st.errant)
     # the errant loop itself is kept out of inner_cycles
-    assert cycle_info(st.inner_cycles) == [
+    assert cycle_info(st, st.inner_cycles) == [
         ("CC", 2, 2, 10, True),
         ("CSS", 3, 1, 7, False),
     ]
-    assert cycle_info(st.outer_cycles) == [("S", 1, 0, 1, True), ("CC", 2, 2, 10, True)]
-    assert cycle_info(st.circuits) == [
+    assert cycle_info(st, st.outer_cycles) == [("S", 1, 0, 1, True), ("CC", 2, 2, 10, True)]
+    assert cycle_info(st, st.circuits) == [
         ("CSCS", 4, 2, 12, True),
         ("CSSSS", 5, 1, 9, False),
     ]
@@ -129,7 +128,7 @@ def test_structure_4_2_common():
     st = analyze_structure(build_digraph(CombSpec(4, 2)))
     assert st.kind == "common"
     assert st.anchor == "001"
-    assert cycle_info(st.inner_cycles) == [
+    assert cycle_info(st, st.inner_cycles) == [
         ("CS", 2, 1, 3, True),
         ("CCS", 3, 2, 5, True),
         ("CCCC", 4, 4, 8, True),
@@ -152,8 +151,7 @@ def test_structure_degenerate():
         st = analyze_structure(build_digraph(CombSpec(m, t)))
         assert st.kind == "degenerate", (m, t)
         assert st.inner_cycles == () and st.circuits == ()
-        assert st.anchor is None
-        assert st.finite_metatiles
+        assert st.anchor is None and st.errant is None
 
 
 def test_structure_refusal_no_pattern():
@@ -189,11 +187,11 @@ def test_refusals_decided_without_listing_cycles(monkeypatch):
             analyze_structure(dg)
 
 
-def _anchor_by_enumeration(dg: MetatileDigraph) -> tuple[str | None, str | None] | None:
+def _anchor_by_enumeration(dg: MetatileDigraph) -> tuple[str | None, Cycle | None] | None:
     """The anchor rule applied to the full list of inner cycles.
 
-    (anchor label, errant node label), both None when there is no inner
-    cycle, or None when no node fits.
+    (anchor label, errant loop), both None when there is no inner cycle, or
+    None when no node fits.
     """
     cycles = digraph._simple_cycles(dg, digraph._Budget(10**9))
     inner = [c for c in cycles if not c.visits("0")]
@@ -209,7 +207,7 @@ def _anchor_by_enumeration(dg: MetatileDigraph) -> tuple[str | None, str | None]
         rest = [c for c in inner if c is not loop]
         shared = rest and set.intersection(*(set(c.nodes) for c in rest)) - {loop.nodes[0]}
         if shared:
-            return min(shared), loop.nodes[0]
+            return min(shared), loop
     return None
 
 
@@ -233,10 +231,16 @@ def test_anchor_test_matches_cycle_enumeration(dg):
         with pytest.raises(UnsupportedStructureError, match="no common node"):
             analyze_structure(dg)
         return
+    anchor, errant = expected
     chosen = tuple(None if v is None else dg.nodes[v] for v in digraph._anchor(dg))
-    assert chosen == expected
+    assert chosen == (anchor, errant and errant.nodes[0])
     st = analyze_structure(dg)
-    assert (st.anchor, st.errant_node) == expected
+    assert (st.anchor, st.errant) == expected
+    assert errant is None or errant not in st.inner_cycles
+    kind = "degenerate" if anchor is None else "common" if errant is None else "pseudo"
+    assert (st.kind, st.common_node, st.pseudo_common) == (
+        kind, anchor if kind == "common" else None, anchor if kind == "pseudo" else None
+    )
 
 
 def _walks_by_labels(dg: MetatileDigraph, metric: Metric, n_max: int) -> list[list[int]]:
@@ -279,7 +283,7 @@ def test_counting_and_output_build_no_arc(monkeypatch, capsys):
     assert walk_sums(dg, Metric.CELLS, 20) == tuple(engines.sums(spec, Metric.CELLS, 21, "poly"))
     assert export_dot(dg).count(" -> ") == 2 * 6**5
     assert enumerate_metatiles(dg, 6)[:2] == ["S", "CCCCCC"]
-    assert analyze_structure(build_digraph(CombSpec(2, 5))).errant_node == "0101"
+    assert analyze_structure(build_digraph(CombSpec(2, 5))).errant.nodes == ("0101",)
     assert engines.relation(CombSpec(4, 2), Metric.CELLS).tracks_k
     capsys.readouterr()
     assert main(["digraph", "--m", "6", "--t", "6", "--format", "text"]) == 1

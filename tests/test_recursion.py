@@ -160,9 +160,9 @@ def test_evaluate_sum_relations_reproduce_prefixes():
 
 
 def test_evaluate_slots_at_byte_boundaries():
-    # a row of n_max + 1 entries packs into slots of n_max + 1 bits rounded up
-    # to a word or whole bytes: 1 byte through row 7, 2 bytes from row 8,
-    # 4 from row 16, 8 from row 32 and 9 from row 64
+    # a tile row of n_max + 1 entries packs into slots of n_max + 1 bits rounded
+    # up to a word or whole bytes: 1 byte through row 7, 2 bytes from row 8,
+    # 4 from row 16, 8 from row 32 and 9 from row 64; cell slots are narrower
     for m, t in CLASSIFIED:
         spec = CombSpec(m, t)
         dg = build_digraph(spec)
@@ -224,18 +224,39 @@ def test_walk_count_sizes_cell_slots_by_weight(monkeypatch):
     assert shifts == [88]
 
 
+def test_cell_relations_at_the_last_word_sized_slots(monkeypatch):
+    # evaluate sizes cell slots by walk_count's bound c_n = c_(n-1) + c_(n-t),
+    # which first passes 64 bits at 119 rows for t = 3 and 94 rows for t = 2:
+    # rows 118 and 93 fill 8-byte words, and the next rows take 9-byte slots
+    widths = []
+    slot_width = recursion._slot_width
+
+    def spy(spec, metric, n_max):
+        widths.append(slot_width(spec, metric, n_max))
+        return widths[-1]
+
+    monkeypatch.setattr(recursion, "_slot_width", spy)
+    for (m, t), sizes in {(2, 3): (118, 119), (4, 2): (93, 94)}.items():
+        spec = CombSpec(m, t)
+        dg = build_digraph(spec)
+        rel = synthesize(analyze_structure(dg), Metric.CELLS)
+        for rows in sizes:
+            tri = evaluate(rel, rows - 1)
+            assert tri == walk_count(dg, Metric.CELLS, rows - 1), (m, t, rows)
+            assert tri == engines.triangle(spec, TriangleKind.BOARD, rows, "poly"), (m, t, rows)
+    assert widths == [8, 8, 9, 9] * 2
+
+
 def test_errant_synthesis_hypothesis_checks():
     st_25 = structure(2, 5)
-    # flip the non-plain inner cycle to plain: now two plain, zero non-plain
-    broken = st_25.replace(
-        inner_cycles=tuple(c.replace(plain=True) for c in st_25.inner_cycles)
-    )
+    through_errant = [c for c in st_25.inner_cycles + st_25.circuits if not st_25.plain(c)]
+    assert [c.label for c in through_errant] == ["CSS", "CSSSS"]
+    # drop the non-plain inner cycle: one plain, zero non-plain
+    broken = st_25.replace(inner_cycles=tuple(filter(st_25.plain, st_25.inner_cycles)))
     with pytest.raises(UnsupportedStructureError, match="inner cycle"):
         synthesize(broken, Metric.TILES)
-    # mark an outer cycle non-plain
-    broken = st_25.replace(
-        outer_cycles=tuple(c.replace(plain=False) for c in st_25.outer_cycles)
-    )
+    # add the non-plain circuit, through "0" and the errant node, as an outer cycle
+    broken = st_25.replace(outer_cycles=st_25.outer_cycles + (through_errant[1],))
     with pytest.raises(UnsupportedStructureError, match="outer cycle"):
         synthesize(broken, Metric.TILES)
 
