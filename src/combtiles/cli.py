@@ -17,9 +17,8 @@ annotations naming its types are never evaluated.
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable
 from types import SimpleNamespace
 
 from . import engines
@@ -90,28 +89,35 @@ def _cmd_subsets(args: SimpleNamespace) -> int:
             counts = counts[args.k : args.k + 1]
         _emit(f"{sum(counts)}\n")
         return 0
-    # the listing is written as the search yields it, so it holds a few
-    # thousand subsets at a time; a write per subset would cost a system call
-    # per subset on an unbuffered stdout. A refused request raises before the
-    # first subset and writes nothing.
-    pieces = _subset_pieces(iter_restricted_subsets(spec, args.n, args.k), args.format)
-    while chunk := "".join(itertools.islice(pieces, 4096)):
-        _emit(chunk)
+    subsets = iter_restricted_subsets(spec, args.n, args.k)
+    if args.format == "json":
+        _emit_listing(("[" + ", ".join(map(str, s.members)) + "]" for s in subsets), as_json=True)
+    else:
+        line = "{}\n" if args.format == "csv" else "{{{}}}\n"
+        _emit_listing(line.format(",".join(map(str, s.members))) for s in subsets)
     return 0
 
 
-def _subset_pieces(subsets: Iterator[oracle.RestrictedSubset], fmt: str) -> Iterator[str]:
-    if fmt != "json":
-        line = "{}\n" if fmt == "csv" else "{{{}}}\n"
-        for s in subsets:
-            yield line.format(",".join(map(str, s.members)))
-        return
-    # the bytes json.dumps writes for a list of int lists
-    sep = "["
-    for s in subsets:
-        yield sep + "[" + ", ".join(map(str, s.members)) + "]"
-        sep = ", "
-    yield "[]\n" if sep == "[" else "]\n"
+# a listing is written as it is produced, about this many characters at a
+# time: one string of all of it would hold the listing twice over, and a write
+# per item would cost a system call each on an unbuffered stdout
+_CHUNK_CHARS = 1 << 16
+
+
+def _emit_listing(items: Iterable[str], as_json: bool = False) -> None:
+    """Write the items, or the bytes json.dumps writes for a list of these JSON texts.
+
+    A refused request raises before the first item and writes nothing.
+    """
+    chunk = ["["] if as_json else []
+    size = 0
+    for i, item in enumerate(items):
+        chunk.append(", " + item if as_json and i else item)
+        size += len(chunk[-1])
+        if size >= _CHUNK_CHARS:
+            _emit("".join(chunk))
+            chunk, size = [], 0
+    _emit("".join(chunk) + ("]\n" if as_json else ""))
 
 
 def _cmd_digraph(args: SimpleNamespace) -> int:
@@ -145,10 +151,10 @@ def _cmd_metatiles(args: SimpleNamespace) -> int:
     spec = _spec(args)
     tiles = enumerate_metatiles(build_digraph(spec), args.max_tiles)
     if args.format == "json":
-        # the bytes json.dumps writes: labels are S and C, so nothing is escaped
-        _emit("[" + ", ".join(f'"{label}"' for label in tiles) + "]\n")
+        # labels are S and C, so json.dumps escapes nothing
+        _emit_listing((f'"{label}"' for label in tiles), as_json=True)
     else:
-        _emit("".join(compress_metatile(label) + "\n" for label in tiles))
+        _emit_listing(compress_metatile(label) + "\n" for label in tiles)
     return 0
 
 

@@ -12,8 +12,9 @@ registered by ``@_check`` under its name without the ``_check_`` prefix;
 tile-triangle entries against a formula is stated as a point list instead:
 ``@_entry_check`` registers a generator of ``(label, n, k, expected)`` for
 one family, and ``_record_entries`` runs it on every family of the grid.
-Closed-form products come from ``polynomials.board_poly``, one schoolbook
-``IntPolynomial`` product per board, independent of the packed engine.
+Closed-form products come from ``polynomials.board_poly``: schoolbook
+``IntPolynomial`` products of the family built from its binomial
+coefficients, independent of the recurrence the packed engine runs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
     board_poly,
-    bonacci_number,
+    bonacci_numbers,
     bonacci_poly,
     power_series_div,
 )
@@ -566,13 +567,11 @@ def _check_multinom(p: GridProfile, rec: _Recorder) -> str:
 
 @_check
 def _check_sumcoeff(p: GridProfile, rec: _Recorder) -> str:
+    # the integer recurrence against the binomial sum
     for t in range(2, p.max_t + 1):
+        values = bonacci_numbers(t, p.max_n)
         for n in range(p.max_n + 1):
-            rec.record(
-                f"t={t} n={n}",
-                bonacci_number(t, n),
-                bonacci_poly(t, n).evaluate(1),
-            )
+            rec.record(f"t={t} n={n}", values[n], bonacci_poly(t, n).evaluate(1))
     return f"t<={p.max_t} n<={p.max_n}"
 
 

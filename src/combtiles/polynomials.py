@@ -7,6 +7,10 @@ The family f_0, f_1, ... for a tooth count t satisfies
 so [x^k] f_n counts tilings of an n-board by squares and t-ominoes with k
 t-ominoes. Products of these polynomials give closed forms for triangle
 entries and antidiagonal sums.
+
+The packed engines run this recurrence; the reference side does not:
+``bonacci_poly`` builds f_n from its coefficients C(n - (t-1)k, k), and
+``board_poly`` multiplies those polynomials by schoolbook products.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import functools
 from collections import deque
 from collections.abc import Iterator, Sequence
-from itertools import count, islice
+from itertools import count
+from math import comb
 from operator import mul
 
 from .core import CombSpec, Frozen, TriangleKind, _slot_bytes, _slot_reader
@@ -58,41 +63,16 @@ class IntPolynomial(Frozen):
                 out[i + j] += a * b
         return IntPolynomial(tuple(out))
 
-    def __pow__(self, n: int) -> IntPolynomial:
-        if n < 0:
-            raise ValueError("exponent must be >= 0")
-        result = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
-
-def _bonacci_polys(t: int) -> Iterator[IntPolynomial]:
-    """f_0, f_1, f_2, ... for tooth count t, one recurrence step each."""
-    # the last t members, f_{n-t} first; those before f_0 are zero
-    window: deque[tuple[int, ...]] = deque([()] * (t - 1) + [(1,)], maxlen=t)
-    yield IntPolynomial((1,))
-    while True:
-        prev, older = window[-1], window[0]
-        out = list(prev) + [0] * (len(older) + 1 - len(prev))
-        for i, c in enumerate(older, 1):
-            out[i] += c
-        window.append(tuple(out))
-        yield IntPolynomial(window[-1])
-
-
-@functools.lru_cache(maxsize=256)
 def bonacci_poly(t: int, n: int) -> IntPolynomial:
-    """The n-th member of the square/t-omino family for tooth count t."""
+    """The n-th member of the square/t-omino family for tooth count t, from its binomials.
+
+    A tiling of an n-board with k t-ominoes has n - (t-1)k tiles and is fixed
+    by which k of them are t-ominoes, so [x^k] f_n = C(n - (t-1)k, k).
+    """
     if t < 2:
         raise ValueError("t must be at least 2")
-    if n < 0:
-        return IntPolynomial(())
-    return next(islice(_bonacci_polys(t), n, None))
+    return IntPolynomial([comb(n - (t - 1) * k, k) for k in range(n // t + 1)])
 
 
 def bonacci_numbers(t: int, n: int) -> list[int]:
@@ -103,12 +83,6 @@ def bonacci_numbers(t: int, n: int) -> list[int]:
     for i in range(t, n + 1):
         vals[i] = vals[i - 1] + vals[i - t]
     return vals
-
-
-def bonacci_number(t: int, n: int) -> int:
-    """Value of the family at x = 1, computed by its own integer recurrence."""
-    vals = bonacci_numbers(t, n)
-    return vals[-1] if vals else 0
 
 
 def _reversed_values(t: int, shift: int, mask: int) -> Iterator[int]:
@@ -330,7 +304,8 @@ def board_poly(spec: CombSpec, j: int, r: int) -> IntPolynomial:
     entry at (b - (t-1)*k, k) and the board-indexed entry at (b, k).
     """
     _check_j_r(spec, j, r)
-    return bonacci_poly(spec.t, j) ** (spec.m - r) * bonacci_poly(spec.t, j + 1) ** r
+    factors = [bonacci_poly(spec.t, j)] * (spec.m - r) + [bonacci_poly(spec.t, j + 1)] * r
+    return functools.reduce(mul, factors)
 
 
 def antidiagonal_sum_closed(spec: CombSpec, j: int, r: int) -> int:

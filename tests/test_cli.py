@@ -17,10 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combtiles import cli, engines, identities, oracle
+from combtiles import cli, digraph, engines, identities, oracle
 from combtiles.cli import _build_parser, main
 from combtiles.core import CombSpec, TriangleKind
-from combtiles.digraph import analyze_structure, build_digraph, export_dot
+from combtiles.digraph import (
+    analyze_structure,
+    build_digraph,
+    compress_metatile,
+    enumerate_metatiles,
+    export_dot,
+)
 from combtiles.polynomials import board_poly
 from combtiles.recursion import Metric
 
@@ -489,6 +495,37 @@ def test_metatiles_output(run):
         "metatiles", "--m", "2", "--t", "3", "--max-tiles", "5", "--format", "json"
     )
     assert out == json.dumps(["S", "CC", "CSS", "CSCS", "CSCCS"]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("m, t, max_tiles", [(2, 3, 3000), (4, 2, 12), (1, 3, 5)])
+def test_metatile_listing_streams(m, t, max_tiles, fmt, monkeypatch, capsys):
+    # the listing writes the bytes of json.dumps or of one compressed label a
+    # line, holding the labels and one chunk of their text, not all of it
+    # (at 3000 tiles the labels take 4.5 MB, and one string of their JSON as much)
+    labels = enumerate_metatiles(build_digraph(CombSpec(m, t)), max_tiles)
+    if fmt == "json":
+        expected = json.dumps(labels) + "\n"
+    else:
+        expected = "".join(compress_metatile(label) + "\n" for label in labels)
+    argv = ["metatiles", "--m", str(m), "--t", str(t), "--max-tiles", str(max_tiles), "--format", fmt]
+    sink = _DigestOut()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.sha.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+    assert peak < sum(map(len, labels)) + 1_000_000, peak
+    # a listing its character bound refuses writes nothing but one error line
+    monkeypatch.setattr(digraph, "_LABEL_CHARS", sum(map(len, labels)) - 1)
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_metatiles_deeper_than_the_recursion_limit(run):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combtiles import polynomials
@@ -13,7 +13,7 @@ from combtiles.polynomials import (
     board_count_text,
     board_counts,
     board_poly,
-    bonacci_number,
+    bonacci_numbers,
     bonacci_poly,
     power_series_div,
     triangle_rows,
@@ -57,20 +57,6 @@ def test_evaluate_is_a_homomorphism(a, b, x):
     assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
 
 
-@settings(max_examples=30, deadline=None)
-@given(polys, st.integers(min_value=0, max_value=5))
-def test_power_matches_repeated_product(a, n):
-    expected = IntPolynomial((1,))
-    for _ in range(n):
-        expected = expected * a
-    assert a**n == expected
-
-
-def test_power_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        IntPolynomial((1, 1)) ** -1
-
-
 def test_bonacci_base_cases():
     assert bonacci_poly(2, -3) == IntPolynomial(())
     assert bonacci_poly(2, 0) == IntPolynomial((1,))
@@ -83,22 +69,32 @@ def test_bonacci_base_cases():
 
 
 def test_bonacci_numbers_known_prefixes():
-    fib = [bonacci_number(2, n) for n in range(12)]
+    fib = bonacci_numbers(2, 11)
     assert fib == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]  # A000045 shifted
-    pad = [bonacci_number(3, n) for n in range(12)]
+    pad = bonacci_numbers(3, 11)
     assert pad == [1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41]  # A000930
 
 
-def test_bonacci_poly_cold_cache_is_iterative_and_bounded():
-    bonacci_poly.cache_clear()
-    assert bonacci_poly(3, 3000).evaluate(1) == bonacci_number(3, 3000)
-    assert bonacci_poly.cache_info().maxsize is not None
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=-3, max_value=80))
+def test_bonacci_poly_satisfies_its_recurrence(t, n):
+    # the binomial form against f_n = f_(n-1) + x*f_(n-t), f_0 = 1, f_(n<0) = 0
+    if n < 0:
+        assert bonacci_poly(t, n) == IntPolynomial(())
+    elif n == 0:
+        assert bonacci_poly(t, n) == IntPolynomial((1,))
+    else:
+        step = _add(bonacci_poly(t, n - 1), IntPolynomial((0, 1)) * bonacci_poly(t, n - t))
+        assert bonacci_poly(t, n) == step
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=-4, max_value=24))
+@example(3, 3000)
 def test_bonacci_poly_at_one_is_the_number(t, n):
-    assert bonacci_poly(t, n).evaluate(1) == bonacci_number(t, n)
+    # the binomial sum against the integer recurrence; a negative n reads 0
+    values = bonacci_numbers(t, n)
+    assert bonacci_poly(t, n).evaluate(1) == (values[n] if n >= 0 else 0)
 
 
 def test_bonacci_coefficients_count_omino_tilings():
@@ -221,7 +217,7 @@ def test_board_products_end_on_a_multiple_of_m(m, monkeypatch):
         for j in (0, 1, 4):
             drawn.clear()
             *_, row = triangle_rows(CombSpec(m, t), TriangleKind.BOARD, m * j + 1)
-            expected = (bonacci_poly(t, j) ** m).coeffs
+            expected = board_poly(CombSpec(m, t), j, 0).coeffs  # f_j^m
             assert tuple(row[: len(expected)]) == expected
             assert len(drawn) == j + 1
 
