@@ -532,13 +532,13 @@ def _multinomial(parts: Sequence[int]) -> int:
 def multinomial_check(j_values: Sequence[int]) -> bool:
     """Exact two-sided evaluation of the block-counting multinomial identity.
 
-    j_values is (j_0, j_1, ..., j_N) with N >= 2 and every entry positive.
+    j_values is (j_0, j_1, ..., j_N) with N >= 2 and every entry a positive int.
     """
-    js = [int(v) for v in j_values]
+    js = list(j_values)
     if len(js) < 3:
         raise ValueError("need j_0 through j_N with N >= 2")
-    if any(v <= 0 for v in js):
-        raise ValueError("all j values must be positive")
+    if any(type(v) is not int or v <= 0 for v in js):
+        raise ValueError(f"all j values must be positive integers, got {js!r}")
     j0 = js[0]
     rest = js[1:]
     j_last = rest[-1]

@@ -1,18 +1,19 @@
 """Linear recursions read off the cycle structure of a metatile digraph.
 
-A digraph whose inner cycles share a common node yields a finite recursion
-for the tiling counts; a digraph whose only obstruction is a single errant
-self-loop yields a slightly longer one. Both synthesizers emit literal term
-lists (delta terms and backward shifts) that are then collected into a
-canonical form. A direct dynamic program over walks provides the same
-numbers with no structure hypothesis at all, which is the cross-check.
-Both engines hold a triangle row as one integer with a slot per comb count.
+The closed walks from node 0 have a rational generating function read off
+the inner cycles, outer cycles and circuits, with any errant self-loop as
+a factor 1 - e; one formula turns it into literal term lists (delta terms
+and backward shifts), collected into a canonical form. Its one refusal is
+an outer cycle through the errant loop's node. A direct dynamic program
+over walks provides the same numbers with no structure hypothesis at all,
+which is the cross-check. Both engines hold a triangle row as one integer
+with a slot per comb count.
 """
 
 from __future__ import annotations
 
 from .core import CombSpec, Frozen, Metric, Triangle, TriangleKind, _slot_bytes, _slot_reader
-from .digraph import Cycle, CycleStructure, MetatileDigraph, UnsupportedStructureError
+from .digraph import CycleStructure, MetatileDigraph, UnsupportedStructureError
 
 
 class RecursionRelation(Frozen):
@@ -95,68 +96,43 @@ def _collect(
 def synthesize(structure: CycleStructure, metric: Metric) -> RecursionRelation:
     """Turn a classified cycle structure into its recursion term lists over (n, k).
 
-    Common-node shape (inner cycles may be absent entirely): one unit delta,
-    one shift minus one delta per inner cycle, per outer cycle its shift
-    minus the shift composed with every inner cycle, one shift per circuit.
+    Write a cycle as its monomial x^w y^k, w its tiles or cells and k its
+    combs, and a set of cycles as their sum. The errant loop e (0 if there
+    is none) may be walked any number of times: a factor 1/(1 - e) on each
+    cycle through its node. Split the inner cycles I and circuits C into
+    their plain parts I_P, C_P (``structure.plain``) and the rest I_Q, C_Q.
+    With O the outer cycles, the closed walks from 0 have generating
+    function N / D, where
 
-    Errant-loop shape: requires exactly one plain and one non-plain inner
-    cycle besides the loop, and every outer cycle plain; adds the loop/plain
-    cross terms and subtracts the loop shift from every plain circuit. A
-    cycle is plain when it avoids the loop's node (``structure.plain``).
+        N = (1 - e)(1 - I_P) - I_Q,   D = N (1 - O) - (1 - e) C_P - C_Q,
+
+    so B = N + (1 - D) B: the delta terms are N and the shift terms 1 - D.
+    An outer cycle through the errant node would leave a 1/(1 - e) that
+    does not cancel, so such a structure is refused.
     """
-    spec, plain = structure.digraph.spec, structure.plain
+    plain = structure.plain
+    if not all(map(plain, structure.outer_cycles)):
+        raise UnsupportedStructureError("errant-loop synthesis needs every outer cycle plain")
 
-    def w(cycle: Cycle) -> int:
-        return cycle.n_cells if metric is Metric.CELLS else cycle.n_tiles
+    def sum_of(cycles) -> list[tuple[int, int, int]]:
+        return [(c.n_cells if metric is Metric.CELLS else c.n_tiles, c.n_combs, 1) for c in cycles]
 
-    deltas: list[tuple[int, int | None, int]] = [(0, 0, 1)]
-    shifts: list[tuple[int, int | None, int]] = []
+    def split(cycles):
+        return sum_of(filter(plain, cycles)), sum_of(c for c in cycles if not plain(c))
 
-    if structure.errant is None:
-        inner = structure.inner_cycles
-        for cyc in inner:
-            shifts.append((w(cyc), cyc.n_combs, 1))
-            deltas.append((w(cyc), cyc.n_combs, -1))
-        for oc in structure.outer_cycles:
-            shifts.append((w(oc), oc.n_combs, 1))
-            for cyc in inner:
-                shifts.append((w(oc) + w(cyc), oc.n_combs + cyc.n_combs, -1))
-        for circ in structure.circuits:
-            shifts.append((w(circ), circ.n_combs, 1))
-    else:
-        plain_inner = [c for c in structure.inner_cycles if plain(c)]
-        other_inner = [c for c in structure.inner_cycles if not plain(c)]
-        if len(plain_inner) != 1 or len(other_inner) != 1:
-            raise UnsupportedStructureError(
-                "errant-loop synthesis needs exactly one plain and one "
-                "non-plain inner cycle besides the loop"
-            )
-        if not all(map(plain, structure.outer_cycles)):
-            raise UnsupportedStructureError(
-                "errant-loop synthesis needs every outer cycle plain"
-            )
-        trio = (structure.errant, plain_inner[0], other_inner[0])
-        lens = [w(c) for c in trio]
-        combs = [c.n_combs for c in trio]
-        for length, kc in zip(lens, combs):
-            shifts.append((length, kc, 1))
-            deltas.append((length, kc, -1))
-        cross_l = lens[0] + lens[1]
-        cross_k = combs[0] + combs[1]
-        deltas.append((cross_l, cross_k, 1))
-        shifts.append((cross_l, cross_k, -1))
-        for oc in structure.outer_cycles:
-            lo, ko = w(oc), oc.n_combs
-            shifts.append((lo, ko, 1))
-            shifts.append((lo + cross_l, ko + cross_k, 1))
-            for length, kc in zip(lens, combs):
-                shifts.append((lo + length, ko + kc, -1))
-        for circ in structure.circuits:
-            shifts.append((w(circ), circ.n_combs, 1))
-            if plain(circ):
-                shifts.append((w(circ) + lens[0], circ.n_combs + combs[0], -1))
+    def minus(p, *qs):
+        return p + [(n, k, -c) for q in qs for n, k, c in q]
 
-    return RecursionRelation(spec, metric, True, _collect(deltas), _collect(shifts))
+    def times(p, q):
+        return [(n1 + n2, k1 + k2, c1 * c2) for n1, k1, c1 in p for n2, k2, c2 in q]
+
+    one = [(0, 0, 1)]
+    loop = minus(one, sum_of([structure.errant] if structure.errant is not None else []))
+    (inner_p, inner_q), (circ_p, circ_q) = split(structure.inner_cycles), split(structure.circuits)
+    num = minus(times(loop, minus(one, inner_p)), inner_q)
+    den = minus(times(num, minus(one, sum_of(structure.outer_cycles))), times(loop, circ_p), circ_q)
+    spec = structure.digraph.spec
+    return RecursionRelation(spec, metric, True, _collect(num), _collect(minus(one, den)))
 
 
 def project_row_sum(rel: RecursionRelation) -> RecursionRelation:

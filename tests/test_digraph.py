@@ -22,7 +22,7 @@ from combtiles.digraph import (
     export_dot,
     metatile_to_tiling,
 )
-from combtiles.recursion import walk_count, walk_sums
+from combtiles.recursion import evaluate, project_row_sum, synthesize, walk_count, walk_sums
 
 from golden import DOT_2_3
 
@@ -241,6 +241,24 @@ def test_anchor_test_matches_cycle_enumeration(dg):
     assert (st.kind, st.common_node, st.pseudo_common) == (
         kind, anchor if kind == "common" else None, anchor if kind == "pseudo" else None
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs(), st.sampled_from(list(Metric)))
+def test_synthesis_matches_walks_on_random_topologies(dg, metric):
+    # one formula for both shapes; its one refusal is an outer cycle
+    # through the errant loop's node
+    try:
+        structure = analyze_structure(dg)
+    except UnsupportedStructureError:
+        return
+    if structure.errant is not None and not all(map(structure.plain, structure.outer_cycles)):
+        with pytest.raises(UnsupportedStructureError, match="outer cycle"):
+            synthesize(structure, metric)
+        return
+    rel = synthesize(structure, metric)
+    assert evaluate(rel, 16) == walk_count(dg, metric, 16)
+    assert evaluate(project_row_sum(rel), 30) == walk_sums(dg, metric, 30)
 
 
 def _walks_by_labels(dg: MetatileDigraph, metric: Metric, n_max: int) -> list[list[int]]:

@@ -136,6 +136,10 @@ def test_multinomial_check_examples():
         multinomial_check((2, 1))
     with pytest.raises(ValueError):
         multinomial_check((2, 0, 1))
+    # entries are ints: no float, bool or string is truncated into one
+    for j_values in [(1.5, 1, 1), (True, 1, 1), ("2", 1, 3, 2)]:
+        with pytest.raises(ValueError, match="positive integers"):
+            multinomial_check(j_values)
 
 
 @settings(max_examples=40, deadline=None)

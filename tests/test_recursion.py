@@ -251,14 +251,34 @@ def test_errant_synthesis_hypothesis_checks():
     st_25 = structure(2, 5)
     through_errant = [c for c in st_25.inner_cycles + st_25.circuits if not st_25.plain(c)]
     assert [c.label for c in through_errant] == ["CSS", "CSSSS"]
-    # drop the non-plain inner cycle: one plain, zero non-plain
-    broken = st_25.replace(inner_cycles=tuple(filter(st_25.plain, st_25.inner_cycles)))
-    with pytest.raises(UnsupportedStructureError, match="inner cycle"):
-        synthesize(broken, Metric.TILES)
-    # add the non-plain circuit, through "0" and the errant node, as an outer cycle
+    # the errant loop adds a factor 1/(1 - e) to every cycle through its
+    # node, which cancels on inner cycles and circuits but not on an outer
+    # cycle: add the non-plain circuit, through "0" and the errant node, as an outer cycle
     broken = st_25.replace(outer_cycles=st_25.outer_cycles + (through_errant[1],))
     with pytest.raises(UnsupportedStructureError, match="outer cycle"):
         synthesize(broken, Metric.TILES)
+
+
+def test_recursion_matches_walk_on_the_wider_grid():
+    # every family with m <= 8, t <= 12 and at most 5000 digraph nodes
+    grid = [(m, t) for m in range(1, 9) for t in range(2, 13) if t ** (m - 1) <= 5000]
+    classified = []
+    for m, t in grid:
+        try:
+            analyze_structure(build_digraph(CombSpec(m, t)))
+        except UnsupportedStructureError:
+            continue
+        classified.append((m, t))
+    others = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 2)]
+    assert classified == [(1, t) for t in range(2, 13)] + others
+    for m, t in classified:
+        spec = CombSpec(m, t)
+        for kind in TriangleKind:
+            expected = engines.triangle(spec, kind, 40, "walk")
+            assert engines.triangle(spec, kind, 40, "recursion") == expected, (m, t, kind)
+        for metric in Metric:
+            expected = engines.sums(spec, metric, 80, "walk")
+            assert engines.sums(spec, metric, 80, "recursion") == expected, (m, t, metric)
 
 
 def test_evaluate_rejects_negative_range():
