@@ -1,10 +1,8 @@
 """Engine dispatch: one function per table shape, whichever engine computes it.
 
-``auto`` routes by shape. Board triangles and cell counts come from the
-product closed form (``poly``). Tile triangles and tile sums use the
-recursion synthesized from the digraph's cycle structure when the
-structure classifies and fall back to walk counting otherwise. ``relation``
-is that recursion itself, built by the same path.
+``auto`` routes by shape: board triangles and cell counts come from the
+product closed form (``poly``), tile triangles from walk counting, and tile
+sums from ``relation``, the synthesized recursion, or walks if it is refused.
 
 Each engine module is imported by the branch that runs it, so a request
 loads only the engine it uses; the annotations that name their types are
@@ -12,6 +10,8 @@ never evaluated.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .core import CombSpec, Metric, Triangle, TriangleKind, UnsupportedStructureError
 
@@ -24,8 +24,8 @@ def _check(method: str, name: str, size: int) -> None:
     # an int, not a bool or a float, as CombSpec takes m and t
     if type(size) is not int:
         raise ValueError(f"{name} must be an integer, got {size!r}")
-    if size < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if not 1 <= size <= sys.maxsize:
+        raise ValueError(f"{name} must be >= 1" if size < 1 else f"{name} must be <= {sys.maxsize}")
 
 
 def _closed_form(kind: TriangleKind, method: str) -> bool:
@@ -65,15 +65,15 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
         from .polynomials import triangle_rows
 
         return Triangle(spec, kind, triangle_rows(spec, kind, rows))
+    from .digraph import build_digraph
     from .recursion import evaluate, walk_count
 
     metric = Metric.TILES if kind is TriangleKind.TILE else Metric.CELLS
-    dg, rel = _digraph(spec, metric, method)
-    if rel is None:
-        return walk_count(dg, metric, rows - 1)
-    tri = evaluate(rel, rows - 1)
-    assert isinstance(tri, Triangle)
-    return tri
+    if method == "recursion":
+        tri = evaluate(relation(spec, metric), rows - 1)
+        assert isinstance(tri, Triangle)
+        return tri
+    return walk_count(build_digraph(spec), metric, rows - 1)
 
 
 def sums_text(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[str]:

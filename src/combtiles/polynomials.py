@@ -230,8 +230,8 @@ def _board_values(spec: CombSpec, n: int, one):
     additions and multiplications alone. The strand values f_j(1) come from
     their recurrence, and powers[k][j] = f_j(1)^k from one product each.
     The powers of f_{j+1}(1) serve strand j as its high factors and strand
-    j + 1 as its low ones, so each board costs one more product, and the
-    boards of one residue r are filled at once, every m-th place.
+    j + 1 as its low ones, so a board of r > 0 costs one more product, and
+    the boards of one residue r are filled at once, every m-th place.
     """
     m, t = spec.m, spec.t
     strands = (n - 1) // m + 1
@@ -243,7 +243,8 @@ def _board_values(spec: CombSpec, n: int, one):
     for _ in range(m - 1):
         powers.append(list(map(mul, powers[-1], vals)))
     out = [one] * (m * strands)
-    for r in range(m):
+    out[::m] = powers[m][:strands]
+    for r in range(1, m):
         out[r::m] = map(mul, powers[m - r][:strands], powers[r][1:])
     del out[n:]
     return out

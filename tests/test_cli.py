@@ -188,6 +188,16 @@ def test_engines_reject_sizes_below_one():
             for metric in Metric:
                 with pytest.raises(ValueError, match="^n_terms must be >= 1$"):
                     engines.sums(spec, metric, size, method)
+        # past sys.maxsize no list, range or slot loop can hold the size: the
+        # guard refuses it before any engine runs, where an OverflowError or
+        # an endless slot-width loop would follow
+        for kind in TriangleKind:
+            with pytest.raises(ValueError, match=f"^rows must be <= {sys.maxsize}$"):
+                engines.triangle(spec, kind, sys.maxsize + 1, method)
+        for metric in Metric:
+            for count in (engines.sums, engines.sums_text):
+                with pytest.raises(ValueError, match=f"^n_terms must be <= {sys.maxsize}$"):
+                    count(spec, metric, sys.maxsize + 1, method)
         # a size is an int, not a float or a bool, as CombSpec takes m and t
         for size in [2.5, 3.0, True, "3", None]:
             got = re.escape(repr(size))
@@ -235,8 +245,8 @@ def test_triangle_auto_falls_back_to_walk(run):
     )
     assert code_auto == code_walk == 0
     assert out_auto == out_walk == csv_of(TRIANGLES[(3, 3)][:12])
-    # (6,6), the largest digraph of the grid, is refused by the structural
-    # test; its cycles alone would outrun the step budget
+    # (6,6), the largest digraph of the grid, whose structure is refused:
+    # auto walks it with no structural test first
     code_auto, out_auto, err = run("triangle", "--m", "6", "--t", "6", "--rows", "5")
     code_walk, out_walk, _ = run(
         "triangle", "--m", "6", "--t", "6", "--rows", "5", "--method", "walk"
@@ -266,6 +276,25 @@ def test_auto_builds_the_digraph_once(monkeypatch):
             calls.clear()
             engines.sums(spec, metric, 6, "auto")
             assert calls == ([spec] if metric is Metric.TILES else [])
+
+
+def test_auto_tile_triangles_are_walks(monkeypatch):
+    # auto reads a tile triangle off walk counts alone, classified family or
+    # not: it analyses no cycle structure and synthesizes no relation
+    def refused(*args):
+        raise AssertionError("auto tile triangles take no structure or synthesis")
+
+    classified = [CombSpec(m, t) for m, t in STRUCTURE_DIGESTS]
+    recursion = [engines.triangle(spec, TriangleKind.TILE, 60, "recursion") for spec in classified]
+    monkeypatch.setattr("combtiles.digraph.analyze_structure", refused)
+    monkeypatch.setattr("combtiles.recursion.synthesize", refused)
+    for m, t in itertools.product(range(1, 7), range(2, 7)):
+        spec = CombSpec(m, t)
+        walk = engines.triangle(spec, TriangleKind.TILE, 8, "walk")
+        assert engines.triangle(spec, TriangleKind.TILE, 8, "auto") == walk, (m, t)
+    # on the classified families auto gives the relation's table
+    for spec, expected in zip(classified, recursion):
+        assert engines.triangle(spec, TriangleKind.TILE, 60, "auto") == expected, spec
 
 
 def test_engines_reject_unknown_methods():
