@@ -95,10 +95,6 @@ class Frozen:
         body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({body})"
 
-    def replace(self, **changes: object):
-        """A copy with the named fields changed, built through ``__init__``."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
-
 
 class CombSpec(Frozen):
     """Parameters of the tile family: squares plus combs with t teeth m apart.

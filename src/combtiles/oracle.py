@@ -207,12 +207,12 @@ def build_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
         raise ValueError("rows must be >= 1")
     if kind is TriangleKind.BOARD:
         if rows - 1 > MAX_BOARD:
-            raise ValueError(f"{rows} rows exceeds the board limit {MAX_BOARD}")
+            raise ValueError(f"board of {rows - 1} cells exceeds the enumeration limit {MAX_BOARD}")
         table = [list(_board_comb_counts(spec, n)) for n in range(rows)]
         return Triangle(spec, kind, table)
 
     if rows - 1 > MAX_TILES:
-        raise ValueError(f"{rows} rows exceeds the tile limit {MAX_TILES}")
+        raise ValueError(f"{rows - 1} tiles exceeds the enumeration limit {MAX_TILES}")
     table = [_histogram(_tile_masks(spec, n), n + 1) for n in range(rows)]
     for n in range(rows):
         for k in range(n + 1):

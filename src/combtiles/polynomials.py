@@ -31,7 +31,10 @@ class IntPolynomial(Frozen):
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int] = ()) -> None:
-        cleaned = [int(c) for c in coeffs]
+        cleaned = list(coeffs)
+        # ints only, as CombSpec takes m and t: int() would truncate 1.5 and read True or "3"
+        if any(type(c) is not int for c in cleaned):
+            raise ValueError(f"coefficients must be integers, got {cleaned!r}")
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self._set(tuple(cleaned))
@@ -325,10 +328,9 @@ def power_series_div(
     """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    den = list(denominator)
+    den, num = IntPolynomial(denominator).coeffs, IntPolynomial(numerator).coeffs
     if not den or den[0] != 1:
         raise ValueError("denominator must have constant term 1")
-    num = list(numerator)
     out: list[int] = []
     for k in range(n_terms):
         c = num[k] if k < len(num) else 0

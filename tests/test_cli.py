@@ -5,7 +5,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import re
 import subprocess
 import sys
@@ -27,7 +26,6 @@ from combtiles.digraph import (
     enumerate_metatiles,
     export_dot,
 )
-from combtiles.polynomials import board_poly
 from combtiles.recursion import Metric
 
 from golden import (
@@ -40,6 +38,7 @@ from golden import (
     TRIANGLES,
     VERIFY_DIGESTS,
 )
+from test_engines_agree import COUNTS, explicit, explicit_test
 
 
 @pytest.fixture()
@@ -66,116 +65,21 @@ def test_triangle_csv_matches_golden(run):
         assert out == csv_of(rows), (m, t)
 
 
-def test_triangle_methods_agree(run):
-    for m, t in [(2, 3), (2, 4), (2, 5), (4, 2)]:
-        outputs = set()
-        for method in ["oracle", "poly", "recursion", "walk", "auto"]:
-            code, out, _ = run(
-                "triangle", "--m", str(m), "--t", str(t), "--rows", "12",
-                "--method", method,
-            )
-            assert code == 0
-            outputs.add(out)
-        assert len(outputs) == 1, (m, t)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=2, max_value=6),
-    st.sampled_from(TriangleKind),
-    st.integers(min_value=1, max_value=9),
-)
-def test_streamed_poly_triangle_matches_closed_form_and_oracle(m, t, kind, rows):
-    spec = CombSpec(m, t)
-    tri = engines.triangle(spec, kind, rows, "poly")
-    for n in range(rows):
-        for k in range(n + 1):
-            board = n + (t - 1) * k if kind is TriangleKind.TILE else n
-            j, r = divmod(board, m)
-            assert tri.entry(n, k) == board_poly(spec, j, r).coefficient(k), (n, k)
-    # rows <= 9 stays inside the oracle's tile and board caps
-    assert tri == oracle.build_triangle(spec, kind, rows)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=2, max_value=6),
-    st.sampled_from(Metric),
-    st.integers(min_value=1, max_value=12),
-)
-def test_poly_sums_match_walk_and_oracle(m, t, metric, n_terms):
-    spec = CombSpec(m, t)
-    poly = engines.sums(spec, metric, n_terms, "poly")
-    assert poly == engines.sums(spec, metric, n_terms, "walk")
-    assert poly == engines.sums(spec, metric, n_terms, "oracle")
-
-
-def test_poly_engine_with_wide_slots():
-    # P_b(1) for (2,3) at board 597 has 328 bits, so each slot is 328 bits wide
-    spec = CombSpec(2, 3)
-    for kind in TriangleKind:
-        assert engines.triangle(spec, kind, 200, "poly") == engines.triangle(
-            spec, kind, 200, "recursion"
-        ), kind
-    for metric in Metric:
-        assert engines.sums(spec, metric, 200, "poly") == engines.sums(
-            spec, metric, 200, "recursion"
-        ), metric
-    spec = CombSpec(6, 6)
-    tri = engines.triangle(spec, TriangleKind.TILE, 90, "poly")
-    for n in [0, 1, 2, 45, 88, 89]:
-        for k in range(n + 1):
-            j, r = divmod(n + 5 * k, 6)
-            assert tri.entry(n, k) == board_poly(spec, j, r).coefficient(k), (n, k)
-
-
-def test_poly_tile_slots_of_exactly_rows_bits(run):
-    # (1,2) has T(n,k) = C(n,k), the slot bound itself: rows 64 packs 64-bit
-    # slots, rows 65 the first 72-bit ones
-    for rows in (64, 65):
-        binomials = csv_of([[math.comb(n, k) for k in range(n + 1)] for n in range(rows)])
-        for method in ("poly", "recursion"):
-            tri = run("triangle", "--m", "1", "--t", "2", "--rows", str(rows), "--method", method)
-            assert tri == (0, binomials, ""), (rows, method)
-            sums = run("sums", "--m", "1", "--t", "2", "--n", str(rows), "--method", method)
-            assert sums == (0, " ".join(str(2**n) for n in range(rows)) + "\n", ""), (rows, method)
+# the engine cross-checks: each runs explicit cases of the agreement harness
+test_triangle_methods_agree = explicit_test("methods_agree")
+test_streamed_poly_triangle_matches_closed_form_and_oracle = explicit_test("streamed_poly")
+test_poly_sums_match_walk_and_oracle = explicit_test("poly_sums")
+test_poly_engine_with_wide_slots = explicit_test("poly_wide_slots")
+test_poly_engine_edge_sizes = explicit_test("poly_edge_sizes")
+test_long_cell_counts_match_walk = explicit_test("long_cell_counts")
+test_poly_tile_slots_of_exactly_rows_bits = explicit_test("rows_bits")
+test_cli_engines_agree_or_refuse = explicit_test("contract")
 
 
 def test_walk_engine_with_wide_slots():
-    # every table has entries past 2^64, so comb slots too narrow for them
-    # would carry into the next slot
-    cases = [
-        ((3, 3), 150, list(TriangleKind)),
-        ((6, 6), 80, [TriangleKind.TILE]),
-        ((2, 3), 200, [TriangleKind.BOARD]),
-    ]
-    for (m, t), rows, kinds in cases:
-        spec = CombSpec(m, t)
-        for kind in kinds:
-            walk = engines.triangle(spec, kind, rows, "walk")
-            assert max(max(row) for row in walk.rows) >> 64, (m, t, kind)
-            assert walk == engines.triangle(spec, kind, rows, "poly"), (m, t, kind)
-        for metric in Metric:
-            assert engines.sums(spec, metric, rows, "walk") == engines.sums(
-                spec, metric, rows, "poly"
-            ), (m, t, metric)
-
-
-def test_poly_engine_edge_sizes():
-    # rows = 1 unpacks one board; t = 2 makes the band's divisor t - 1 = 1
-    for m in range(1, 7):
-        for t, rows in [(2, 1), (2, 2), (2, 9), (5, 1)]:
-            spec = CombSpec(m, t)
-            for kind in TriangleKind:
-                assert engines.triangle(spec, kind, rows, "poly") == (
-                    oracle.build_triangle(spec, kind, rows)
-                ), (m, t, kind, rows)
-            for metric in Metric:
-                assert engines.sums(spec, metric, rows, "poly") == engines.sums(
-                    spec, metric, rows, "oracle"
-                ), (m, t, metric, rows)
+    for (m, t, shape, _), out in explicit("walk_wide_slots").items():
+        # comb slots too narrow for entries past 2^64 would carry into the next slot
+        assert shape in COUNTS or max(map(int, re.split("[,\n]", out.strip()))) >> 64, (m, t)
 
 
 def test_engines_reject_sizes_below_one():
@@ -238,21 +142,10 @@ def test_parser_is_reused_across_calls(capsys):
     assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0]
 
 
-def test_triangle_auto_falls_back_to_walk(run):
-    code_auto, out_auto, _ = run("triangle", "--m", "3", "--t", "3", "--rows", "12")
-    code_walk, out_walk, _ = run(
-        "triangle", "--m", "3", "--t", "3", "--rows", "12", "--method", "walk"
-    )
-    assert code_auto == code_walk == 0
-    assert out_auto == out_walk == csv_of(TRIANGLES[(3, 3)][:12])
-    # (6,6), the largest digraph of the grid, whose structure is refused:
-    # auto walks it with no structural test first
-    code_auto, out_auto, err = run("triangle", "--m", "6", "--t", "6", "--rows", "5")
-    code_walk, out_walk, _ = run(
-        "triangle", "--m", "6", "--t", "6", "--rows", "5", "--method", "walk"
-    )
-    assert code_auto == code_walk == 0 and err == ""
-    assert out_auto == out_walk == "1\n1,0\n1,0,0\n1,0,0,0\n1,0,0,0,0\n"
+def test_triangle_auto_falls_back_to_walk():
+    # (3,3) and (6,6), the largest digraph of the grid, classify no structure:
+    # auto walks them with no structural test first
+    assert explicit("auto_fallback")[3, 3, "tile", 12] == csv_of(TRIANGLES[(3, 3)][:12])
 
 
 def test_auto_builds_the_digraph_once(monkeypatch):
@@ -303,50 +196,6 @@ def test_engines_reject_unknown_methods():
         engines.triangle(spec, TriangleKind.TILE, 4, "bogus")
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
         engines.sums(spec, Metric.TILES, 4, "bogus")
-
-
-def _outcome(*argv: str) -> tuple[int, str]:
-    """Exit code and stdout; a refusal prints nothing but one error line."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    assert code in (0, 1, 2), argv
-    if code == 0:
-        assert err.getvalue() == "" and out.getvalue() != "", argv
-    else:
-        assert out.getvalue() == "", argv
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    return code, out.getvalue()
-
-
-def _answers(*argv: str) -> dict[str, str]:
-    """Stdout of every method that answers the command."""
-    outcomes = {method: _outcome(*argv, "--method", method) for method in engines.METHODS}
-    return {method: out for method, (code, out) in outcomes.items() if code == 0}
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=6),
-    st.sampled_from(["tile", "board"]),
-    st.sampled_from(["tiles", "cells"]),
-    st.integers(min_value=1, max_value=6),
-)
-def test_cli_engines_agree_or_refuse(m, t, kind, metric, size):
-    fam = ["--m", str(m), "--t", str(t)]
-    triangles = _answers("triangle", *fam, "--rows", str(size), "--kind", kind)
-    sums = _answers("sums", *fam, "--n", str(2 * size), "--metric", metric)
-    assert len(set(triangles.values())) <= 1 and len(set(sums.values())) <= 1
-    # t = 1 is a usage error; otherwise auto and poly always answer
-    assert ("auto" in triangles) == ("poly" in triangles) == (t > 1)
-    assert ("auto" in sums) == ("poly" in sums) == (t > 1)
-    structure, _ = _outcome("digraph", *fam, "--format", "text")
-    recursion, _ = _outcome("recursion", *fam, "--metric", metric)
-    # the recursion engine answers exactly when its relation can be shown,
-    # and never for a structure that digraph refuses
-    assert ("recursion" in triangles) == ("recursion" in sums) == (recursion == 0)
-    assert structure == 0 or recursion == structure
 
 
 def test_triangle_board_kind(run):
@@ -635,6 +484,16 @@ def test_usage_errors_exit_2(run):
     assert (code, out) == (2, "") and err == f"error: universe {10**20} exceeds the enumeration limit 24\n"
 
 
+def test_oracle_caps_name_the_capped_quantity(run):
+    # a refusal names what the cap counts: 23 tiles, or a board of 27 cells
+    tiles = (2, "", "error: 23 tiles exceeds the enumeration limit 22\n")
+    cells = (2, "", "error: board of 27 cells exceeds the enumeration limit 26\n")
+    capped = ["--m", "2", "--t", "3", "--method", "oracle"]
+    assert run("triangle", "--rows", "24", *capped) == run("sums", "--n", "24", *capped) == tiles
+    assert run("triangle", "--rows", "28", "--kind", "board", *capped) == cells
+    assert run("sums", "--n", "28", "--metric", "cells", *capped) == cells
+
+
 @pytest.mark.parametrize(
     ("argv", "line"),
     [
@@ -778,13 +637,6 @@ def test_printed_counts_have_no_digit_cap(run):
     assert result == walked == (0, expected, "")
     if capped:
         assert after == 640
-
-
-def test_long_cell_counts_match_walk():
-    # the cells-5000 request of the benchmark: 5000 counts, the last of 829
-    # digits, printed from decimal; the walk engine prints them from ints
-    argv = ["sums", "--m", "5", "--t", "3", "--n", "5000", "--metric", "cells"]
-    assert _outcome(*argv, "--method", "poly") == _outcome(*argv, "--method", "walk")
 
 
 def test_cold_start_avoids_heavy_stdlib_modules():

@@ -20,6 +20,7 @@ from combtiles.polynomials import (
 )
 
 from golden import CELL_SUMS, GF_4_2, TILE_SUMS, TRIANGLES
+from test_engines_agree import closed_form
 
 polys = st.builds(
     IntPolynomial,
@@ -34,6 +35,15 @@ def test_polynomial_normalization():
     assert IntPolynomial((1, 0, 3)).degree == 2
     assert IntPolynomial((1, 0, 3)).coefficient(1) == 0
     assert IntPolynomial((1, 0, 3)).coefficient(9) == 0
+
+
+def test_coefficients_must_be_ints():
+    # int() would truncate 1.5 and read True and "3": each is refused
+    for bad in ([1.5, 2], [1, True], ["3", 1], [1, 2.0]):
+        for make in (IntPolynomial, lambda c: power_series_div(c, [1, -1], 3),
+                     lambda c: power_series_div([1], [1, *c], 3)):
+            with pytest.raises(ValueError, match="^coefficients must be integers"):
+                make(bad)
 
 
 def _add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -160,27 +170,6 @@ def test_board_count_text_at_the_decimal_threshold(monkeypatch):
                 ], (m, t, size)
 
 
-def _table(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[int]]:
-    """The tile or board triangle from IntPolynomial products, one per board."""
-    m, t = spec.m, spec.t
-    shift = t - 1 if kind is TriangleKind.TILE else 0
-    table = [[0] * (n + 1) for n in range(rows)]
-    powers: dict[tuple[int, int], IntPolynomial] = {}
-
-    def power(j: int, e: int) -> IntPolynomial:
-        if (j, e) not in powers:
-            powers[j, e] = IntPolynomial((1,)) if e == 0 else power(j, e - 1) * bonacci_poly(t, j)
-        return powers[j, e]
-
-    for b in range((shift + 1) * (rows - 1) + 1):
-        j, r = divmod(b, m)
-        for k, c in enumerate((power(j, m - r) * power(j + 1, r)).coeffs):
-            n = b - shift * k
-            if 0 <= n < rows:
-                table[n][k] = c
-    return table
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
@@ -191,7 +180,7 @@ def test_board_products_unpack_the_closed_form_products(m, t, max_board):
     # row b holds every coefficient of P_b (deg P_b <= b), padded with zeros
     spec = CombSpec(m, t)
     rows = max_board + 1
-    assert triangle_rows(spec, TriangleKind.BOARD, rows) == _table(spec, TriangleKind.BOARD, rows)
+    assert triangle_rows(spec, TriangleKind.BOARD, rows) == closed_form(spec, TriangleKind.BOARD, rows)
 
 
 def _counted(monkeypatch, name):
@@ -230,7 +219,7 @@ def test_board_products_end_on_a_multiple_of_m(m, monkeypatch):
 )
 def test_tile_rows_read_the_top_band_of_the_closed_form_products(m, t, rows):
     spec = CombSpec(m, t)
-    assert triangle_rows(spec, TriangleKind.TILE, rows) == _table(spec, TriangleKind.TILE, rows)
+    assert triangle_rows(spec, TriangleKind.TILE, rows) == closed_form(spec, TriangleKind.TILE, rows)
 
 
 def test_tile_rows_skip_boards_with_an_empty_band():
@@ -238,9 +227,8 @@ def test_tile_rows_skip_boards_with_an_empty_band():
     # k0 = 1, so cell (1,1) comes from no product and stays 0
     assert triangle_rows(CombSpec(3, 2), TriangleKind.TILE, 2) == [[1], [1, 0]]
     # t = 2 shifts each board's cells one row per comb: the widest band
-    for m in range(1, 7):
-        spec = CombSpec(m, 2)
-        assert triangle_rows(spec, TriangleKind.TILE, 30) == _table(spec, TriangleKind.TILE, 30), m
+    for spec in (CombSpec(m, 2) for m in range(1, 7)):
+        assert triangle_rows(spec, TriangleKind.TILE, 30) == closed_form(spec, TriangleKind.TILE, 30)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -271,13 +259,13 @@ def test_triangle_rows_at_slot_boundaries():
         for t in range(2, 7):
             spec = CombSpec(m, t)
             for kind in TriangleKind:
-                table = _table(spec, kind, 33)
+                table = closed_form(spec, kind, 33)
                 for rows in (8, 9, 16, 17, 32, 33):
                     assert triangle_rows(spec, kind, rows) == table[:rows], (m, t, kind, rows)
     for m, t in [(1, 2), (2, 3), (3, 4), (6, 6)]:
         spec = CombSpec(m, t)
         for kind in TriangleKind:
-            table = _table(spec, kind, 65)
+            table = closed_form(spec, kind, 65)
             for rows in (64, 65):
                 assert triangle_rows(spec, kind, rows) == table[:rows], (m, t, kind, rows)
 

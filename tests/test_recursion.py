@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 from math import comb
 
@@ -7,7 +8,7 @@ import pytest
 
 from combtiles import engines, recursion
 from combtiles.core import CombSpec, TriangleKind
-from combtiles.digraph import UnsupportedStructureError, analyze_structure, build_digraph
+from combtiles.digraph import CycleStructure, UnsupportedStructureError, analyze_structure, build_digraph
 from combtiles.recursion import (
     Metric,
     RecursionRelation,
@@ -27,6 +28,7 @@ from golden import (
     TILE_SUMS,
     TRIANGLES,
 )
+from test_engines_agree import WIDER, explicit, explicit_test
 
 
 # the 11 families with m, t <= 6 whose cycle structure classifies
@@ -141,15 +143,6 @@ def test_evaluate_entry_relations_reproduce_triangles():
         assert [list(row) for row in tri.rows] == TRIANGLES[(m, t)], (m, t)
 
 
-def test_evaluate_4_2_matches_walk():
-    rel = synthesize(structure(4, 2), Metric.TILES)
-    assert evaluate(rel, 16) == walk_count(build_digraph(CombSpec(4, 2)), Metric.TILES, 16)
-    crel = synthesize(structure(4, 2), Metric.CELLS)
-    assert evaluate(crel, 16) == walk_count(
-        build_digraph(CombSpec(4, 2)), Metric.CELLS, 16
-    )
-
-
 def test_evaluate_sum_relations_reproduce_prefixes():
     for (m, t), seq in TILE_SUMS.items():
         rel = project_row_sum(synthesize(structure(m, t), Metric.TILES))
@@ -157,31 +150,6 @@ def test_evaluate_sum_relations_reproduce_prefixes():
     for (m, t), seq in CELL_SUMS.items():
         rel = project_row_sum(synthesize(structure(m, t), Metric.CELLS))
         assert evaluate(rel, len(seq) - 1) == tuple(seq), (m, t)
-
-
-def test_evaluate_slots_at_byte_boundaries():
-    # a tile row of n_max + 1 entries packs into slots of n_max + 1 bits rounded
-    # up to a word or whole bytes: 1 byte through row 7, 2 bytes from row 8,
-    # 4 from row 16, 8 from row 32 and 9 from row 64; cell slots are narrower
-    for m, t in CLASSIFIED:
-        spec = CombSpec(m, t)
-        dg = build_digraph(spec)
-        for kind, metric in ((TriangleKind.TILE, Metric.TILES), (TriangleKind.BOARD, Metric.CELLS)):
-            rel = project_row_sum(synthesize(analyze_structure(dg), metric))
-            for rows in (1, 8, 9, 16, 17, 32, 33, 63, 64, 65, 150):
-                got = engines.triangle(spec, kind, rows, "recursion")
-                assert got == engines.triangle(spec, kind, rows, "poly"), (m, t, kind, rows)
-                assert evaluate(rel, rows - 1) == walk_sums(dg, metric, rows - 1), (m, t, rows)
-
-
-def test_walk_matches_poly_around_the_widest_word():
-    # on tiles (2,3) has at most 2^n walks of weight n: rows 63 and 64 fill
-    # 8-byte words, and row 65 takes the first 9-byte slots
-    spec = CombSpec(2, 3)
-    for kind in TriangleKind:
-        for rows in (63, 64, 65):
-            poly = engines.triangle(spec, kind, rows, "poly")
-            assert engines.triangle(spec, kind, rows, "walk") == poly, (kind, rows)
 
 
 def test_walk_count_matches_golden():
@@ -254,9 +222,18 @@ def test_errant_synthesis_hypothesis_checks():
     # the errant loop adds a factor 1/(1 - e) to every cycle through its
     # node, which cancels on inner cycles and circuits but not on an outer
     # cycle: add the non-plain circuit, through "0" and the errant node, as an outer cycle
-    broken = st_25.replace(outer_cycles=st_25.outer_cycles + (through_errant[1],))
+    broken = CycleStructure(
+        st_25.digraph, st_25.inner_cycles, st_25.outer_cycles + (through_errant[1],),
+        st_25.circuits, st_25.anchor, st_25.errant,
+    )
     with pytest.raises(UnsupportedStructureError, match="outer cycle"):
         synthesize(broken, Metric.TILES)
+
+
+# the relations against walk and poly: explicit cases of the agreement harness
+test_evaluate_4_2_matches_walk = explicit_test("relation_4_2")
+test_evaluate_slots_at_byte_boundaries = explicit_test("byte_boundaries")
+test_walk_matches_poly_around_the_widest_word = explicit_test("widest_word")
 
 
 def test_recursion_matches_walk_on_the_wider_grid():
@@ -264,21 +241,11 @@ def test_recursion_matches_walk_on_the_wider_grid():
     grid = [(m, t) for m in range(1, 9) for t in range(2, 13) if t ** (m - 1) <= 5000]
     classified = []
     for m, t in grid:
-        try:
-            analyze_structure(build_digraph(CombSpec(m, t)))
-        except UnsupportedStructureError:
-            continue
-        classified.append((m, t))
-    others = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 2)]
-    assert classified == [(1, t) for t in range(2, 13)] + others
-    for m, t in classified:
-        spec = CombSpec(m, t)
-        for kind in TriangleKind:
-            expected = engines.triangle(spec, kind, 40, "walk")
-            assert engines.triangle(spec, kind, 40, "recursion") == expected, (m, t, kind)
-        for metric in Metric:
-            expected = engines.sums(spec, metric, 80, "walk")
-            assert engines.sums(spec, metric, 80, "recursion") == expected, (m, t, metric)
+        with contextlib.suppress(UnsupportedStructureError):
+            structure(m, t)
+            classified.append((m, t))
+    assert classified == WIDER
+    explicit("wider_grid")
 
 
 def test_evaluate_rejects_negative_range():
