@@ -52,30 +52,27 @@ def _emit(text: str) -> None:
 
 
 def _cmd_triangle(args: SimpleNamespace) -> int:
-    spec = _spec(args)
-    kind = TriangleKind(args.kind)
-    tri = engines.triangle(spec, kind, args.rows, args.method)
-    if args.format == "csv":
-        _emit(tri.to_csv())
-    elif args.format == "json":
-        _emit(tri.to_json() + "\n")
+    spec, kind = _spec(args), TriangleKind(args.kind)
+    rows = engines.triangle(spec, kind, args.rows, args.method).rows
+    if args.format == "json":
+        # the bytes json.dumps writes, entries as decimal strings: nothing needs
+        # escaping, and row 0 is always there to open the first row's brackets
+        head = f'{{"m": {spec.m}, "t": {spec.t}, "kind": "{kind.value}", "rows": [["'
+        _emit_listing(('", "'.join(map(str, row)) for row in rows), head, '"], ["', '"]]}\n')
     else:
-        lines = [" ".join(map(str, row)) for row in tri.rows]
-        _emit("\n".join(lines) + "\n")
+        delimiter = "," if args.format == "csv" else " "
+        _emit_listing((delimiter.join(map(str, row)) for row in rows), sep="\n", tail="\n")
     return 0
 
 
 def _cmd_sums(args: SimpleNamespace) -> int:
-    spec = _spec(args)
-    seq = engines.sums_text(spec, Metric(args.metric), args.n, args.method)
+    seq = engines.sums_text(_spec(args), Metric(args.metric), args.n, args.method)
     if args.format == "bfile":
-        _emit("".join(f"{i} {v}\n" for i, v in enumerate(seq)))
-    elif args.format == "csv":
-        _emit(",".join(seq) + "\n")
+        _emit_listing(f"{i} {v}\n" for i, v in enumerate(seq))
     elif args.format == "json":
-        _emit("[" + ", ".join(seq) + "]\n")
+        _emit_listing(seq, "[", ", ", "]\n")
     else:
-        _emit(" ".join(seq) + "\n")
+        _emit_listing(seq, sep="," if args.format == "csv" else " ", tail="\n")
     return 0
 
 
@@ -91,33 +88,34 @@ def _cmd_subsets(args: SimpleNamespace) -> int:
         return 0
     subsets = iter_restricted_subsets(spec, args.n, args.k)
     if args.format == "json":
-        _emit_listing(("[" + ", ".join(map(str, s.members)) + "]" for s in subsets), as_json=True)
+        items = ("[" + ", ".join(map(str, s.members)) + "]" for s in subsets)
+        _emit_listing(items, "[", ", ", "]\n")
     else:
         line = "{}\n" if args.format == "csv" else "{{{}}}\n"
         _emit_listing(line.format(",".join(map(str, s.members))) for s in subsets)
     return 0
 
 
-# a listing is written as it is produced, about this many characters at a
-# time: one string of all of it would hold the listing twice over, and a write
-# per item would cost a system call each on an unbuffered stdout
+# output is written as it is produced, about this many characters at a time:
+# one string of all of it would hold the text twice over, and a write per item
+# would cost a system call each on an unbuffered stdout
 _CHUNK_CHARS = 1 << 16
 
 
-def _emit_listing(items: Iterable[str], as_json: bool = False) -> None:
-    """Write the items, or the bytes json.dumps writes for a list of these JSON texts.
+def _emit_listing(items: Iterable[str], head: str = "", sep: str = "", tail: str = "") -> None:
+    """Write head, the items joined by sep, and tail, a chunk at a time.
 
+    A chunk is written only once another item follows it, so its trailing sep is due.
     A refused request raises before the first item and writes nothing.
     """
-    chunk = ["["] if as_json else []
-    size = 0
-    for i, item in enumerate(items):
-        chunk.append(", " + item if as_json and i else item)
-        size += len(chunk[-1])
+    lead, chunk, size = head, [], 0
+    for item in items:
         if size >= _CHUNK_CHARS:
-            _emit("".join(chunk))
-            chunk, size = [], 0
-    _emit("".join(chunk) + ("]\n" if as_json else ""))
+            _emit(lead + sep.join(chunk) + sep)
+            lead, chunk, size = "", [], 0
+        chunk.append(item)
+        size += len(item)
+    _emit(lead + sep.join(chunk) + tail)
 
 
 def _cmd_digraph(args: SimpleNamespace) -> int:
@@ -152,7 +150,7 @@ def _cmd_metatiles(args: SimpleNamespace) -> int:
     tiles = enumerate_metatiles(build_digraph(spec), args.max_tiles)
     if args.format == "json":
         # labels are S and C, so json.dumps escapes nothing
-        _emit_listing((f'"{label}"' for label in tiles), as_json=True)
+        _emit_listing((f'"{label}"' for label in tiles), "[", ", ", "]\n")
     else:
         _emit_listing(compress_metatile(label) + "\n" for label in tiles)
     return 0

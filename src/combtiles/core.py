@@ -217,20 +217,3 @@ class Triangle(Frozen):
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
-
-    def to_csv(self) -> str:
-        """One row per line, entries comma-separated."""
-        return "\n".join([",".join(map(str, row)) for row in self.rows]) + "\n"
-
-    def to_json(self) -> str:
-        """JSON object with entries rendered as decimal strings.
-
-        Written as ``json.dumps`` writes it, without the json module: the
-        entries are digit strings and the kind is ``tile`` or ``board``, so
-        nothing needs escaping.
-        """
-        rows = ", ".join(['["' + '", "'.join(map(str, row)) + '"]' for row in self.rows])
-        return (
-            f'{{"m": {self.spec.m}, "t": {self.spec.t}, '
-            f'"kind": "{self.kind.value}", "rows": [{rows}]}}'
-        )

@@ -12,6 +12,7 @@ never evaluated.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 
 from .core import CombSpec, Metric, Triangle, TriangleKind, UnsupportedStructureError
 
@@ -76,14 +77,15 @@ def triangle(spec: CombSpec, kind: TriangleKind, rows: int, method: str) -> Tria
     return walk_count(build_digraph(spec), metric, rows - 1)
 
 
-def sums_text(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[str]:
-    """``sums`` as decimal strings; long closed-form cell counts never pass through int."""
+def sums_text(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> Iterator[str]:
+    """``sums`` as decimal strings, each made as it is read; the terms are computed before
+    this returns, and long closed-form cell counts never pass through int."""
     if metric is Metric.CELLS and _closed_form(metric.kind, method):
         _check(method, "n_terms", n_terms)
         from .polynomials import board_count_text
 
         return board_count_text(spec, n_terms)
-    return list(map(str, sums(spec, metric, n_terms, method)))
+    return map(str, sums(spec, metric, n_terms, method))
 
 
 def sums(spec: CombSpec, metric: Metric, n_terms: int, method: str) -> list[int]:

@@ -67,12 +67,20 @@ class IntPolynomial(Frozen):
         return IntPolynomial(tuple(out))
 
 
+def _check_ints(**values: object) -> None:
+    # ints, not bools or floats, as CombSpec takes m and t
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def bonacci_poly(t: int, n: int) -> IntPolynomial:
     """The n-th member of the square/t-omino family for tooth count t, from its binomials.
 
     A tiling of an n-board with k t-ominoes has n - (t-1)k tiles and is fixed
     by which k of them are t-ominoes, so [x^k] f_n = C(n - (t-1)k, k).
     """
+    _check_ints(t=t, n=n)
     if t < 2:
         raise ValueError("t must be at least 2")
     return IntPolynomial([comb(n - (t - 1) * k, k) for k in range(n // t + 1)])
@@ -80,6 +88,7 @@ def bonacci_poly(t: int, n: int) -> IntPolynomial:
 
 def bonacci_numbers(t: int, n: int) -> list[int]:
     """Values f_0(1), ..., f_n(1) of the family, by its integer recurrence."""
+    _check_ints(t=t, n=n)
     if t < 2:
         raise ValueError("t must be at least 2")
     vals = [1] * (n + 1)
@@ -267,7 +276,7 @@ def board_counts(spec: CombSpec, n: int) -> list[int]:
 DECIMAL_BITS = 1660
 
 
-def board_count_text(spec: CombSpec, n: int) -> list[str]:
+def board_count_text(spec: CombSpec, n: int) -> Iterator[str]:
     """``board_counts(spec, n)`` as decimal strings, built in decimal when they are long.
 
     CPython converts an int to decimal text in time quadratic in its digits
@@ -280,9 +289,13 @@ def board_count_text(spec: CombSpec, n: int) -> list[str]:
     ``Inexact`` and ``Rounded``, so a rounding would raise, not print a wrong
     count. An integer with exponent 0 prints as its plain digits, as str of
     the int does.
+
+    Every count is computed before this returns, and each string as it is
+    read, outside the exact context: str rounds nothing, and reads a context
+    only for the case of an exponent letter, which these integers lack.
     """
     if n < 1 or antidiagonal_sum_closed(spec, *divmod(n - 1, spec.m)).bit_length() < DECIMAL_BITS:
-        return list(map(str, board_counts(spec, n)))
+        return map(str, board_counts(spec, n))
     import decimal
 
     exact = decimal.Context(
@@ -291,10 +304,11 @@ def board_count_text(spec: CombSpec, n: int) -> list[str]:
         traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
     )
     with decimal.localcontext(exact):
-        return list(map(str, _board_values(spec, n, decimal.Decimal(1))))
+        return map(str, _board_values(spec, n, decimal.Decimal(1)))
 
 
 def _check_j_r(spec: CombSpec, j: int, r: int) -> None:
+    _check_ints(j=j, r=r)
     if j < 0:
         raise ValueError("j must be >= 0")
     if not 0 <= r < spec.m:
@@ -326,6 +340,7 @@ def power_series_div(
 
     Exact integer arithmetic; the denominator must have constant term 1.
     """
+    _check_ints(n_terms=n_terms)
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     den, num = IntPolynomial(denominator).coeffs, IntPolynomial(numerator).coeffs

@@ -283,13 +283,15 @@ def test_subsets_cost_follows_the_universe(run):
 
 
 class _DigestOut:
-    """A stdout that keeps only a running SHA-256 of the text written to it."""
+    """A stdout that keeps only a running SHA-256 of the text written to it, and its writes."""
 
     def __init__(self) -> None:
         self.sha = hashlib.sha256()
+        self.writes = 0
 
     def write(self, text: str) -> int:
         self.sha.update(text.encode())
+        self.writes += 1
         return len(text)
 
     def flush(self) -> None:
@@ -317,6 +319,82 @@ def test_subsets_listing_streams(fmt):
     assert code == 0
     assert sink.sha.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
     assert peak < 1_000_000, peak
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("ab", max_size=4)), st.sampled_from(["", ", ", "\n"]), st.integers(1, 6))
+def test_emit_listing_writes_the_join_in_chunks(items, sep, chunk_chars):
+    # whatever the chunk size, and wherever a chunk ends, the writes add up to
+    # one join, each separator written once and none after the last item
+    writes: list[str] = []
+    with mock.patch.object(cli, "_CHUNK_CHARS", chunk_chars):
+        with mock.patch.object(cli, "_emit", writes.append):
+            cli._emit_listing(iter(items), "<", sep, ">")
+    assert "".join(writes) == "<" + sep.join(items) + ">"
+
+
+def test_triangle_serialization_roundtrip(run):
+    # (2,4) fits no comb in a board of 3 cells
+    argv = ["triangle", "--m", "2", "--t", "4", "--kind", "board", "--rows", "4"]
+    assert run(*argv, "--format", "csv") == (0, "1\n1,0\n1,0,0\n1,0,0,0\n", "")
+    code, out, err = run(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["kind"] == "board" and (obj["m"], obj["t"]) == (2, 4)
+    assert obj["rows"] == [["1"], ["1", "0"], ["1", "0", "0"], ["1", "0", "0", "0"]]
+    assert out == json.dumps(obj) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [("sums", fmt) for fmt in ("bfile", "csv", "json", "text")]
+    + [("triangle", fmt) for fmt in ("csv", "json", "text")],
+)
+@pytest.mark.parametrize("metric", list(Metric))
+def test_table_output_streams(command, fmt, metric, capsys):
+    # sums and triangles are written a chunk at a time, as listings are: the
+    # sums hold their values and about one chunk of text, not all of it (at
+    # 5000 terms the text of (1,2) is 2.6-3.8 MB, against 1.3-1.8 MB of values)
+    spec = CombSpec(1, 2)
+    if command == "sums":
+        size = 5000
+        values = engines.sums(spec, metric, size, "auto")
+        held = sys.getsizeof(values) + sum(map(sys.getsizeof, values))
+        if fmt == "bfile":
+            expected = "".join(f"{i} {v}\n" for i, v in enumerate(values))
+        elif fmt == "json":
+            expected = json.dumps(values) + "\n"
+        else:
+            expected = ("," if fmt == "csv" else " ").join(map(str, values)) + "\n"
+        argv = ["sums", "--n", str(size), "--metric", metric.value]
+    else:
+        size = 300
+        rows = engines.triangle(spec, metric.kind, size, "auto").rows
+        if fmt == "json":
+            table = [list(map(str, r)) for r in rows]
+            expected = json.dumps({"m": 1, "t": 2, "kind": metric.kind.value, "rows": table}) + "\n"
+        else:
+            expected = "".join(("," if fmt == "csv" else " ").join(map(str, r)) + "\n" for r in rows)
+        argv = ["triangle", "--rows", str(size), "--kind", metric.kind.value]
+    argv += ["--format", fmt]
+    assert len(expected) > 4 * cli._CHUNK_CHARS
+    sink = _DigestOut()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main([*argv, "--m", "1", "--t", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.writes > 1
+    assert sink.sha.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+    if command == "sums":
+        assert peak < held + 1_000_000, (peak, held)
+    # a refused table writes nothing but one error line
+    capsys.readouterr()
+    assert main([*argv, "--m", "3", "--t", "3", "--method", "recursion"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_digraph_dot_golden(run):

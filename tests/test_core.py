@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import functools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -106,17 +105,6 @@ def test_triangle_validation():
         Triangle(spec, TriangleKind.TILE, [[2]])
     with pytest.raises(ValueError):
         Triangle(spec, TriangleKind.TILE, [[1], [1, -1]])
-
-
-def test_triangle_serialization_roundtrip():
-    spec = CombSpec(2, 4)
-    tri = Triangle(
-        spec, TriangleKind.BOARD, [[1], [1, 0], [1, 0, 0], [1, 0, 0, 0]]
-    )
-    assert tri.to_csv() == "1\n1,0\n1,0,0\n1,0,0,0\n"
-    obj = json.loads(tri.to_json())
-    assert obj["kind"] == "board"
-    assert obj["rows"][1] == ["1", "0"]
 
 
 def test_triangle_row_sums():

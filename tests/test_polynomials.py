@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,25 @@ def test_board_poly_validation():
         board_poly(spec, 2, -1)
 
 
+@pytest.mark.parametrize(
+    "function, args, error",
+    [
+        (power_series_div, ([1], [1, -1], 2.5), "n_terms must be an integer, got 2.5"),
+        (power_series_div, ([1], [1, -1], True), "n_terms must be an integer, got True"),
+        (board_poly, (CombSpec(2, 3), 2.0, 0), "j must be an integer, got 2.0"),
+        (board_poly, (CombSpec(2, 3), True, 0), "j must be an integer, got True"),
+        (bonacci_poly, (3, 4.0), "n must be an integer, got 4.0"),
+        (bonacci_numbers, (3, 4.5), "n must be an integer, got 4.5"),
+        (antidiagonal_sum_closed, (CombSpec(2, 3), 2.0, 0), "j must be an integer, got 2.0"),
+    ],
+)
+def test_sizes_and_indices_must_be_ints(function, args, error):
+    # a float ended in a TypeError and True read as 1: each is refused, as
+    # CombSpec and the engines refuse them
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        function(*args)
+
+
 def test_antidiagonal_sum_closed_matches_board_counts():
     for (m, t), sums in CELL_SUMS.items():
         spec = CombSpec(m, t)
@@ -164,7 +185,7 @@ def test_board_count_text_at_the_decimal_threshold(monkeypatch):
             n = next(b for b, c in enumerate(counts) if c.bit_length() >= polynomials.DECIMAL_BITS) + 1
             for size in (n - 1, n):
                 units.clear()
-                assert board_count_text(spec, size) == list(map(str, counts[:size])), (m, t, size)
+                assert list(board_count_text(spec, size)) == list(map(str, counts[:size])), (m, t, size)
                 assert [type(one).__name__ for one in units] == [
                     "int" if size < n else "Decimal"
                 ], (m, t, size)
