@@ -96,6 +96,21 @@ class Frozen:
         return f"{type(self).__qualname__}({body})"
 
 
+def check_int(name: str, value: object, least: int | None, most: int | None = None) -> None:
+    """Refuse a size, count or index that is not an int in least..most (None: unbounded).
+
+    An int, not a bool, float or str: the engines build shifts, ranges and
+    packed slots from it, where a float answers as if rounded or fails late,
+    and a bool reads as 0 or 1.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}")
+
+
 class CombSpec(Frozen):
     """Parameters of the tile family: squares plus combs with t teeth m apart.
 
@@ -107,12 +122,9 @@ class CombSpec(Frozen):
     __slots__ = _fields = ("m", "t")
 
     def __init__(self, m: int, t: int) -> None:
+        check_int("m", m, 1)
+        check_int("t", t, 2)
         self._set(m, t)
-        # an int, not a bool or a float: the tile masks are built by shifts
-        if type(self.m) is not int or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if type(self.t) is not int or self.t < 2:
-            raise ValueError(f"t must be an integer of at least 2, got {self.t!r}")
 
 
 SQUARE = "S"
@@ -138,6 +150,8 @@ def board_to_tile_index(spec: CombSpec, n_board: int, k: int) -> tuple[int, int]
     n - (t-1)k tiles in total. Negative results are allowed; they index
     implicit zeros of the triangles.
     """
+    check_int("n_board", n_board, None)
+    check_int("k", k, None)
     return (n_board - (spec.t - 1) * k, k)
 
 
@@ -147,10 +161,8 @@ def max_combs(spec: CombSpec, J: int, R: int) -> int:
     R selects the residue class of the board length mod m and must lie
     in 0..m-1.
     """
-    if not 0 <= R < spec.m:
-        raise ValueError(f"R must be in 0..{spec.m - 1}, got {R}")
-    if J < 0:
-        raise ValueError(f"J must be >= 0, got {J}")
+    check_int("J", J, 0)
+    check_int("R", R, 0, spec.m - 1)
     t = spec.t
     if J % t < t - 1:
         return spec.m * (J - J % t) // t

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .core import COMB, SQUARE, CombSpec, Frozen, UnsupportedStructureError, _comb_mask
+from .core import COMB, SQUARE, CombSpec, Frozen, UnsupportedStructureError, _comb_mask, check_int
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _COMB_RUN = re.escape(COMB) + "{2,}"
@@ -380,8 +380,7 @@ def analyze_structure(dg: MetatileDigraph) -> CycleStructure:
 
 def enumerate_metatiles(dg: MetatileDigraph, max_tiles: int) -> list[str]:
     """Label strings of all walks 0 to 0 (not revisiting 0) with <= max_tiles arcs."""
-    if max_tiles < 1:
-        raise ValueError("max_tiles must be >= 1")
+    check_int("max_tiles", max_tiles, 1)
     budget, chars = _Budget(_STEP_BUDGET), _LABEL_CHARS
     square, comb = dg.square, dg.comb
     out: list[str] = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator
 
-from .core import CombSpec, Metric, Triangle, TriangleKind, UnsupportedStructureError
+from .core import CombSpec, Metric, Triangle, TriangleKind, UnsupportedStructureError, check_int
 
 METHODS = ("auto", "oracle", "poly", "recursion", "walk")
 
@@ -22,11 +22,7 @@ METHODS = ("auto", "oracle", "poly", "recursion", "walk")
 def _check(method: str, name: str, size: int) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    # an int, not a bool or a float, as CombSpec takes m and t
-    if type(size) is not int:
-        raise ValueError(f"{name} must be an integer, got {size!r}")
-    if not 1 <= size <= sys.maxsize:
-        raise ValueError(f"{name} must be >= 1" if size < 1 else f"{name} must be <= {sys.maxsize}")
+    check_int(name, size, 1, sys.maxsize)
 
 
 def _closed_form(kind: TriangleKind, method: str) -> bool:

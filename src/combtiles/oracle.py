@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Iterator
 
-from .core import COMB, SQUARE, CombSpec, Frozen, Triangle, TriangleKind, _comb_mask
+from .core import COMB, SQUARE, CombSpec, Frozen, Triangle, TriangleKind, _comb_mask, check_int
 
 # the enumeration caps: larger requests are refused, not truncated
 MAX_BOARD = 26
@@ -39,9 +39,8 @@ class Tiling(Frozen):
     def __init__(
         self, spec: CombSpec, board_len: int, placements: tuple[tuple[str, int], ...]
     ) -> None:
+        check_int("board_len", board_len, 0)
         self._set(spec, board_len, placements)
-        if self.board_len < 0:
-            raise ValueError("board_len must be >= 0")
         comb = _comb_mask(self.spec)
         covered = 0  # bit c is cell base + c
         base = 0
@@ -110,11 +109,9 @@ def _board_masks(spec: CombSpec, board_len: int) -> Iterator[int]:
 
     The search fills the leftmost empty cell with a square or with a comb
     anchored there. The cells past the board start out occupied, and a
-    leaf is a fully occupied mask. The board is not capped here: callers
-    bound it.
+    leaf is a fully occupied mask. The board is neither checked nor capped
+    here: callers do both.
     """
-    if board_len < 0:
-        raise ValueError("board_len must be >= 0")
     comb = _comb_mask(spec)
     full = (2 << (board_len + (spec.t - 1) * spec.m)) - 1
     stack = [(full ^ ((2 << board_len) - 2), 0)]  # (occupied, anchors); bit 0 is set
@@ -141,12 +138,9 @@ def _tile_masks(spec: CombSpec, n_tiles: int) -> Iterator[int]:
     cell 1 with no gap. A leaf with k combs covers n_tiles + (t-1)k cells.
     No placement can overlap: a tooth of an earlier comb in the new comb's
     residue class would cover the leftmost empty cell, and earlier squares
-    lie left of it.
+    lie left of it. The tile count is neither checked nor capped here:
+    callers do both.
     """
-    if n_tiles < 0:
-        raise ValueError("n_tiles must be >= 0")
-    if n_tiles > MAX_TILES:
-        raise ValueError(f"n_tiles {n_tiles} exceeds the enumeration limit {MAX_TILES}")
     comb = _comb_mask(spec)
     stack = [(1, 0, n_tiles)]  # (occupied, anchors, tiles left); bit 0 is set
     pop, push = stack.pop, stack.append
@@ -169,6 +163,7 @@ def enumerate_tilings(spec: CombSpec, board_len: int) -> list[Tiling]:
     anchored there (square branch first), so the output order is canonical
     and no tiling is produced twice. The empty board yields the empty tiling.
     """
+    check_int("board_len", board_len, 0)
     if board_len > MAX_BOARD:
         raise ValueError(f"board_len {board_len} exceeds the enumeration limit {MAX_BOARD}")
     return [_tiling(spec, board_len, a) for a in _board_masks(spec, board_len)]
@@ -181,6 +176,9 @@ def enumerate_tile_tilings(spec: CombSpec, n_tiles: int) -> list[Tiling]:
     by tile count: the leftmost empty cell is filled with a square or a comb
     until n_tiles tiles are down, and the result is kept when no gap remains.
     """
+    check_int("n_tiles", n_tiles, 0)
+    if n_tiles > MAX_TILES:
+        raise ValueError(f"n_tiles {n_tiles} exceeds the enumeration limit {MAX_TILES}")
     pad = spec.t - 1
     return [
         _tiling(spec, n_tiles + pad * a.bit_count(), a)
@@ -203,8 +201,7 @@ def build_triangle(spec: CombSpec, kind: TriangleKind, rows: int) -> Triangle:
     board length (n-k) + k*t is within MAX_BOARD is additionally recomputed
     from the board enumeration, and the two counts must agree.
     """
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
+    check_int("rows", rows, 1)
     if kind is TriangleKind.BOARD:
         if rows - 1 > MAX_BOARD:
             raise ValueError(f"board of {rows - 1} cells exceeds the enumeration limit {MAX_BOARD}")
@@ -233,9 +230,8 @@ class RestrictedSubset(Frozen):
     __slots__ = _fields = ("spec", "n", "members")
 
     def __init__(self, spec: CombSpec, n: int, members: tuple[int, ...]) -> None:
+        check_int("n", n, 0)
         self._set(spec, n, members)
-        if self.n < 0:
-            raise ValueError("universe size must be >= 0")
         prev = 0
         for v in self.members:
             if v <= prev:
@@ -270,12 +266,11 @@ def _subset_masks(spec: CombSpec, n: int, most: int | None) -> Iterator[int]:
     running banned mask in place of a test of every pair. v's later
     siblings stay below it on the stack.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_int("n", n, 0)
     if n > MAX_UNIVERSE:
         raise ValueError(f"universe {n} exceeds the enumeration limit {MAX_UNIVERSE}")
-    if most is not None and most < 0:
-        raise ValueError("k must be >= 0")
+    if most is not None:
+        check_int("k", most, 0)
     ban = _comb_mask(spec, n) ^ 1  # offsets m, 2m, ..., (t-1)m up to n
     yield 0
     stack = [(0, (2 << n) - 2, n if most is None else most)]  # (members, candidates, room)

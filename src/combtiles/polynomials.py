@@ -22,7 +22,7 @@ from itertools import count
 from math import comb
 from operator import mul
 
-from .core import CombSpec, Frozen, TriangleKind, _slot_bytes, _slot_reader
+from .core import CombSpec, Frozen, TriangleKind, _slot_bytes, _slot_reader, check_int
 
 
 class IntPolynomial(Frozen):
@@ -67,30 +67,22 @@ class IntPolynomial(Frozen):
         return IntPolynomial(tuple(out))
 
 
-def _check_ints(**values: object) -> None:
-    # ints, not bools or floats, as CombSpec takes m and t
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def bonacci_poly(t: int, n: int) -> IntPolynomial:
     """The n-th member of the square/t-omino family for tooth count t, from its binomials.
 
     A tiling of an n-board with k t-ominoes has n - (t-1)k tiles and is fixed
     by which k of them are t-ominoes, so [x^k] f_n = C(n - (t-1)k, k).
+    Any int n is taken: f_n = 0 for n < 0.
     """
-    _check_ints(t=t, n=n)
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_int("t", t, 2)
+    check_int("n", n, None)
     return IntPolynomial([comb(n - (t - 1) * k, k) for k in range(n // t + 1)])
 
 
 def bonacci_numbers(t: int, n: int) -> list[int]:
-    """Values f_0(1), ..., f_n(1) of the family, by its integer recurrence."""
-    _check_ints(t=t, n=n)
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    """Values f_0(1), ..., f_n(1) of the family, by its integer recurrence; none for n < 0."""
+    check_int("t", t, 2)
+    check_int("n", n, None)
     vals = [1] * (n + 1)
     for i in range(t, n + 1):
         vals[i] = vals[i - 1] + vals[i - t]
@@ -119,11 +111,13 @@ def triangle_rows(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[in
     combs, for P_b = f_j^(m-r) * f_{j+1}^r and the board b = m*j + r =
     n + s*k, where s = t-1 for the tile triangle and s = 0 for the board
     triangle. Board b holds cells of rows below R = rows only in the
-    degrees k0..d. Here d = (m-r)(j//t) + r((j+1)//t) is the degree of P_b
-    (f_n has degree n//t and leading coefficient 1), k0 = 0 for b < R and
-    k0 = ceil((b - R + 1) / s) after that. Boards with d < k0 hold none and
-    are skipped. The boards run to b = (s+1)(R-1), the board of cell
-    (R-1, R-1); so the board triangle takes every coefficient of P_0..P_(R-1).
+    degrees k0..d. Here d = (m-r)(j//t) + r((j+1)//t) is the degree of P_b:
+    f_n has degree n//t, with leading coefficient C(q + rho, q) > 0 for
+    n = tq + rho (f_3 = 1 + 2x at t = 2), and the band uses only the
+    degree. k0 = 0 for b < R and k0 = ceil((b - R + 1) / s) after that.
+    Boards with d < k0 hold none and are skipped. The boards run to
+    b = (s+1)(R-1), the board of cell (R-1, R-1); so the board triangle
+    takes every coefficient of P_0..P_(R-1).
 
     The band is read from the reversed product P~_b(y) = y^d P_b(1/y) =
     f~_j^(m-r) * f~_{j+1}^r (``_reversed_values``), whose degree-i
@@ -172,6 +166,7 @@ def triangle_rows(spec: CombSpec, kind: TriangleKind, rows: int) -> list[list[in
     of stride -R; row n is the slice of stride R+s from R + n. A one-slot
     band is the product mod 2^w itself and needs no read.
     """
+    check_int("rows", rows, 1)
     m, t = spec.m, spec.t
     s = t - 1 if kind is TriangleKind.TILE else 0
     boards = (s + 1) * (rows - 1) + 1
@@ -264,6 +259,7 @@ def _board_values(spec: CombSpec, n: int, one):
 
 def board_counts(spec: CombSpec, n: int) -> list[int]:
     """Tiling counts of the boards of length 0..n-1, P_b(1) for each b."""
+    check_int("n", n, 0)
     return _board_values(spec, n, 1)
 
 
@@ -294,6 +290,7 @@ def board_count_text(spec: CombSpec, n: int) -> Iterator[str]:
     read, outside the exact context: str rounds nothing, and reads a context
     only for the case of an exponent letter, which these integers lack.
     """
+    check_int("n", n, 0)
     if n < 1 or antidiagonal_sum_closed(spec, *divmod(n - 1, spec.m)).bit_length() < DECIMAL_BITS:
         return map(str, board_counts(spec, n))
     import decimal
@@ -307,28 +304,22 @@ def board_count_text(spec: CombSpec, n: int) -> Iterator[str]:
         return map(str, _board_values(spec, n, decimal.Decimal(1)))
 
 
-def _check_j_r(spec: CombSpec, j: int, r: int) -> None:
-    _check_ints(j=j, r=r)
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if not 0 <= r < spec.m:
-        raise ValueError(f"r must be in 0..{spec.m - 1}")
-
-
 def board_poly(spec: CombSpec, j: int, r: int) -> IntPolynomial:
     """P_b = f_j^(m-r) * f_{j+1}^r for the board b = m*j + r, by schoolbook products.
 
     [x^k] P_b counts tilings of the b-board with k combs: the tile-indexed
     entry at (b - (t-1)*k, k) and the board-indexed entry at (b, k).
     """
-    _check_j_r(spec, j, r)
+    check_int("j", j, 0)
+    check_int("r", r, 0, spec.m - 1)
     factors = [bonacci_poly(spec.t, j)] * (spec.m - r) + [bonacci_poly(spec.t, j + 1)] * r
     return functools.reduce(mul, factors)
 
 
 def antidiagonal_sum_closed(spec: CombSpec, j: int, r: int) -> int:
     """Count of all tilings of an (m*j + r)-board, in product closed form."""
-    _check_j_r(spec, j, r)
+    check_int("j", j, 0)
+    check_int("r", r, 0, spec.m - 1)
     vals = bonacci_numbers(spec.t, j + 1)
     return vals[j] ** (spec.m - r) * vals[j + 1] ** r
 
@@ -340,9 +331,7 @@ def power_series_div(
 
     Exact integer arithmetic; the denominator must have constant term 1.
     """
-    _check_ints(n_terms=n_terms)
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
+    check_int("n_terms", n_terms, 0)
     den, num = IntPolynomial(denominator).coeffs, IntPolynomial(numerator).coeffs
     if not den or den[0] != 1:
         raise ValueError("denominator must have constant term 1")

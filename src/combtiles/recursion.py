@@ -12,7 +12,8 @@ with a slot per comb count.
 
 from __future__ import annotations
 
-from .core import CombSpec, Frozen, Metric, Triangle, TriangleKind, _slot_bytes, _slot_reader
+from .core import CombSpec, Frozen, Metric, Triangle, TriangleKind, check_int
+from .core import _slot_bytes, _slot_reader
 from .digraph import CycleStructure, MetatileDigraph, UnsupportedStructureError
 
 
@@ -159,8 +160,7 @@ def evaluate(rel: RecursionRelation, n_max: int) -> Triangle | tuple[int, ...]:
     counts walks from 0 to 0 of weight n, so the slots of :func:`_slot_width`
     hold it: n_max + 1 bits on tiles, fewer on cells.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_int("n_max", n_max, 0)
     packed = [0] * (n_max + 1)
     width = _slot_width(rel.spec, rel.metric, n_max) if rel.tracks_k else 0
     for n0, k0, coeff in rel.delta_terms:
@@ -181,9 +181,13 @@ def _unpack(spec: CombSpec, kind: TriangleKind, packed: list[int], width: int) -
 
     Each row is one read (``core._slot_reader``): one memoryview cast when
     the slots are word-sized, one ``int.from_bytes`` per entry when wider.
+    packed is emptied as it is read, last row first, so the packed rows and
+    the table they become are not held whole at once.
     """
     read = _slot_reader(width)
-    return Triangle(spec, kind, [read(value, n + 1) for n, value in enumerate(packed)])
+    rows = [read(packed.pop(), n + 1) for n in reversed(range(len(packed)))]
+    rows.reverse()
+    return Triangle(spec, kind, rows)
 
 
 def _slot_width(spec: CombSpec, metric: Metric, n_max: int) -> int:
@@ -245,8 +249,7 @@ def walk_count(dg: MetatileDigraph, metric: Metric, n_max: int) -> Triangle:
     weight n from 0, which :func:`_slot_width` bounds. Layers past weight
     n_max are never read.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_int("n_max", n_max, 0)
     width = _slot_width(dg.spec, metric, n_max)
     return _unpack(dg.spec, metric.kind, _walks_home(dg, metric, n_max, 8 * width), width)
 
@@ -257,6 +260,5 @@ def walk_sums(dg: MetatileDigraph, metric: Metric, n_max: int) -> tuple[int, ...
     No arc depends on the comb count k, so summing over it up front saves
     the factor of n that the packed slots of the triangle cost.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_int("n_max", n_max, 0)
     return tuple(_walks_home(dg, metric, n_max, 0))

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from combtiles import polynomials
-from combtiles.core import CombSpec, TriangleKind
-from combtiles.oracle import enumerate_tilings
+from combtiles import engines, polynomials
+from combtiles.core import CombSpec, Metric, TriangleKind, board_to_tile_index, max_combs
+from combtiles.digraph import build_digraph, enumerate_metatiles
+from combtiles.oracle import (
+    RestrictedSubset,
+    Tiling,
+    build_triangle,
+    enumerate_restricted_subsets,
+    enumerate_tile_tilings,
+    enumerate_tilings,
+    iter_restricted_subsets,
+    subset_size_counts,
+)
 from combtiles.polynomials import (
     IntPolynomial,
     antidiagonal_sum_closed,
@@ -20,6 +30,7 @@ from combtiles.polynomials import (
     power_series_div,
     triangle_rows,
 )
+from combtiles.recursion import evaluate, walk_count, walk_sums
 
 from golden import CELL_SUMS, GF_4_2, TILE_SUMS, TRIANGLES
 from test_engines_agree import closed_form
@@ -132,14 +143,67 @@ def test_board_poly_matches_golden_triangles():
                 assert board_poly(spec, j, r).coefficient(k) == rows[n][k], (m, t, n, k)
 
 
-def test_board_poly_validation():
-    spec = CombSpec(2, 3)
-    with pytest.raises(ValueError):
-        board_poly(spec, -1, 0)
-    with pytest.raises(ValueError):
-        board_poly(spec, 2, 2)
-    with pytest.raises(ValueError):
-        board_poly(spec, 2, -1)
+SPEC = CombSpec(2, 3)
+DIGRAPH = build_digraph(SPEC)
+NOT_INTS = (2.5, 3.0, True, "3", None)
+K_NOT_INTS = NOT_INTS[:-1]  # k = None asks for subsets of every size
+
+
+def _first_subset(spec, n, k):
+    return next(iter_restricted_subsets(spec, n, k))
+
+
+# (function, valid args, position of the size, its name, its least value or
+# None, and optionally the non-ints to try); the engines' sizes are covered by
+# test_cli.test_engines_reject_sizes_below_one
+SIZES = [
+    (CombSpec, (2, 3), 0, "m", 1),
+    (CombSpec, (2, 3), 1, "t", 2),
+    (max_combs, (SPEC, 4, 1), 1, "J", 0),
+    (max_combs, (SPEC, 4, 1), 2, "R", 0),
+    (board_to_tile_index, (SPEC, 9, 2), 1, "n_board", None),
+    (board_to_tile_index, (SPEC, 9, 2), 2, "k", None),
+    (bonacci_poly, (3, 4), 0, "t", 2),
+    (bonacci_poly, (3, 4), 1, "n", None),
+    (bonacci_numbers, (3, 4), 0, "t", 2),
+    (bonacci_numbers, (3, 4), 1, "n", None),
+    (board_counts, (SPEC, 4), 1, "n", 0),
+    (board_count_text, (SPEC, 4), 1, "n", 0),
+    (triangle_rows, (SPEC, TriangleKind.TILE, 4), 2, "rows", 1),
+    (board_poly, (SPEC, 2, 1), 1, "j", 0),
+    (board_poly, (SPEC, 2, 1), 2, "r", 0),
+    (antidiagonal_sum_closed, (SPEC, 2, 1), 1, "j", 0),
+    (antidiagonal_sum_closed, (SPEC, 2, 1), 2, "r", 0),
+    (power_series_div, ([1], [1, -1], 3), 2, "n_terms", 0),
+    (Tiling, (SPEC, 1, (("S", 1),)), 1, "board_len", 0),
+    (RestrictedSubset, (SPEC, 3, (1,)), 1, "n", 0),
+    (enumerate_tilings, (SPEC, 4), 1, "board_len", 0),
+    (enumerate_tile_tilings, (SPEC, 4), 1, "n_tiles", 0),
+    (build_triangle, (SPEC, TriangleKind.TILE, 4), 2, "rows", 1),
+    (subset_size_counts, (SPEC, 4, 2), 1, "n", 0),
+    (subset_size_counts, (SPEC, 4, 2), 2, "k", 0, K_NOT_INTS),
+    (enumerate_restricted_subsets, (SPEC, 4, 2), 1, "n", 0),
+    (enumerate_restricted_subsets, (SPEC, 4, 2), 2, "k", 0, K_NOT_INTS),
+    (_first_subset, (SPEC, 4, 2), 1, "n", 0),
+    (_first_subset, (SPEC, 4, 2), 2, "k", 0, K_NOT_INTS),
+    (evaluate, (engines.relation(SPEC, Metric.TILES), 4), 1, "n_max", 0),
+    (walk_count, (DIGRAPH, Metric.TILES, 4), 2, "n_max", 0),
+    (walk_sums, (DIGRAPH, Metric.CELLS, 4), 2, "n_max", 0),
+    (enumerate_metatiles, (DIGRAPH, 4), 1, "max_tiles", 1),
+]
+
+
+def _refusals(function, args, at, name, least, not_ints=NOT_INTS):
+    # each non-int in place of args[at], then the int below its least value
+    def put(value):
+        return (*args[:at], value, *args[at + 1 :])
+
+    rows = [
+        (function, put(value), f"{name} must be an integer, got {value!r}") for value in not_ints
+    ]
+    if least is not None:
+        rows.append((function, put(least - 1), f"{name} must be >= {least}"))
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -152,13 +216,18 @@ def test_board_poly_validation():
         (bonacci_poly, (3, 4.0), "n must be an integer, got 4.0"),
         (bonacci_numbers, (3, 4.5), "n must be an integer, got 4.5"),
         (antidiagonal_sum_closed, (CombSpec(2, 3), 2.0, 0), "j must be an integer, got 2.0"),
+        *[row for size in SIZES for row in _refusals(*size)],
+        (max_combs, (SPEC, 4, 2), "R must be <= 1"),
+        (board_poly, (SPEC, 2, 2), "r must be <= 1"),
     ],
 )
 def test_sizes_and_indices_must_be_ints(function, args, error):
-    # a float ended in a TypeError and True read as 1: each is refused, as
-    # CombSpec and the engines refuse them
-    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+    # a float answered as if rounded or ended in a traceback, True read as 1,
+    # and a size below its least value answered [] or crashed: each is
+    # refused by the one argument rule in core
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$") as refusal:
         function(*args)
+    assert refusal.traceback[-1].name == "check_int"
 
 
 def test_antidiagonal_sum_closed_matches_board_counts():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import sys
+import tracemalloc
 from math import comb
 
 import pytest
@@ -173,6 +175,26 @@ def test_walk_count_works_where_synthesis_refuses():
     assert [list(row) for row in tri.rows] == TRIANGLES[(3, 3)]
 
 
+def test_walk_triangle_releases_its_packed_rows():
+    # each packed row is dropped once it is read, so the traced peak is the
+    # larger of the packed rows and the table, plus a little; holding both,
+    # as one list of packed rows beside the table does, costs their sum
+    dg, n_max = build_digraph(CombSpec(2, 3)), 399
+    width = recursion._slot_width(dg.spec, Metric.TILES, n_max)
+    packed = recursion._walks_home(dg, Metric.TILES, n_max, 8 * width)
+    held = sys.getsizeof(packed) + sum(map(sys.getsizeof, packed))
+    del packed
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tri = walk_count(dg, Metric.TILES, n_max)
+        table, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(tri.rows) == n_max + 1
+    assert peak <= max(held, table) + min(held, table) / 2, (held, table, peak)
+
+
 def test_walk_count_sizes_cell_slots_by_weight(monkeypatch):
     # on cells a C-arc weighs t = 3 cells, so c_n = c_(n-1) + c_(n-3) bounds the
     # walks of weight n, far below the d^n = 2^n of a plain out-degree count
@@ -246,9 +268,3 @@ def test_recursion_matches_walk_on_the_wider_grid():
             classified.append((m, t))
     assert classified == WIDER
     explicit("wider_grid")
-
-
-def test_evaluate_rejects_negative_range():
-    rel = synthesize(structure(2, 3), Metric.TILES)
-    with pytest.raises(ValueError):
-        evaluate(rel, -1)
